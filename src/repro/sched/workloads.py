@@ -7,8 +7,8 @@ long-running design evaluations.  Two submission patterns match the
 paper's study: everything at once (batch) and a Poisson stream whose
 rate may or may not be throttled below cluster capacity.  The traffic
 layer (:mod:`repro.traffic`) composes richer arrival processes (MMPP,
-diurnal) over these same service draws via :func:`draw_services` and
-:func:`jobs_from_arrivals`.
+diurnal) over these same service draws via :func:`draw_services`;
+:func:`jobs_from_arrivals` zips any such streams into jobs.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from repro.sched.simulator import Job
 from repro.util.rng import make_rng
 
 
-def draw_services(rng: np.random.Generator, n: int, mean_service: float,
-                  sigma: float, long_fraction: float):
+def draw_services(rng: np.random.Generator, n: Optional[int],
+                  mean_service: float, sigma: float, long_fraction: float):
     """Heavy-tailed service demands with realized mean ``mean_service``.
 
     A lognormal body with a 6x long tail on a ``long_fraction``
@@ -35,7 +35,8 @@ def draw_services(rng: np.random.Generator, n: int, mean_service: float,
     the offered-load formula every caller quotes
     (``arrival_rate * mean_service / n_gpus``).
 
-    Returns ``(services, is_long)`` arrays of length *n*.
+    Returns ``(services, is_long)`` arrays of length *n*, or one
+    ``(float, bool)`` draw when *n* is ``None``.
     """
     if not (0.0 <= long_fraction <= 1.0):
         raise ValueError("long_fraction in [0, 1]")
@@ -44,8 +45,9 @@ def draw_services(rng: np.random.Generator, n: int, mean_service: float,
     services = rng.lognormal(mu, sigma, n)
     # the long tail: a fraction of jobs are big design evaluations
     is_long = rng.random(n) < long_fraction
-    services = np.where(is_long, services * 6.0, services)
-    return services, is_long
+    if n is None:
+        return (services * 6.0 if is_long else services), is_long
+    return np.where(is_long, services * 6.0, services), is_long
 
 
 # backward-compatible private name (pre-traffic call sites)

@@ -11,7 +11,8 @@ any of them:
   population seed and the user id, constructed on first touch.  No
   O(n_users) state, no overlap between users (SeedSequence spawn-key
   partitioning), and bit-reproducibility regardless of how many users
-  the run actually touches.
+  the run actually touches.  :func:`repro.util.rng.keyed_rngs` builds
+  the streams of every user a batch touches first in one call.
 - **Skewed popularity.**  Job submitters follow a power-law: arrival
   *k*'s user is ``floor(n_users * u^skew)`` for a uniform draw *u*
   from the assignment stream, concentrating traffic on the heavy
@@ -25,15 +26,19 @@ any of them:
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.sched.simulator import Job
-from repro.sched.workloads import draw_services, jobs_from_arrivals
+from repro.sched.workloads import draw_services
+from repro.util.rng import keyed_rngs
 
 #: spawn-key namespaces: assignment stream / per-user jobs / profiles
 _NS_ASSIGN, _NS_JOBS, _NS_PROFILE = 0, 1, 2
+#: arrivals :meth:`UserPopulation.stream_jobs` turns into jobs at a time
+STREAM_BATCH = 256
 
 
 class UserProfile:
@@ -75,10 +80,13 @@ class UserPopulation:
         best_effort_fraction: float = 0.25,
         tenant: Optional[str] = None,
     ):
-        if n_users < 1:
-            raise ValueError("need at least one user")
+        # user ids key their streams as one uint32 spawn-key word
+        if not (1 <= n_users <= 2**32):
+            raise ValueError("n_users in [1, 2**32]")
         if mean_service <= 0 or sigma <= 0:
             raise ValueError("bad service parameters")
+        if not (0.0 <= long_fraction <= 1.0):
+            raise ValueError("long_fraction in [0, 1]")
         if skew < 1.0:
             raise ValueError("skew >= 1 (1 = uniform popularity)")
         if n_priorities < 1:
@@ -112,113 +120,91 @@ class UserPopulation:
 
     # -- lazy per-user state -------------------------------------------
 
-    def _user_stream(self, ns: int, user_id: int) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence(self.seed, spawn_key=(ns, user_id))
-        )
-
-    def profile(self, user_id: int) -> UserProfile:
-        """The stable profile of *user_id* (cached after first touch)."""
-        if not (0 <= user_id < self.n_users):
-            raise ValueError("user_id out of range")
-        prof = self._profiles.get(user_id)
-        if prof is None:
-            rng = self._user_stream(_NS_PROFILE, user_id)
-            lo, hi = self.deadline_slack
+    def _new_profiles(self, user_ids: List[int]) -> None:
+        lo, hi = self.deadline_slack
+        for uid, rng in zip(user_ids,
+                            keyed_rngs(self.seed, _NS_PROFILE, user_ids)):
             # lognormal service scale with unit mean, so the
             # population-wide realized mean stays `mean_service`
             mean_scale = float(np.exp(rng.normal(-0.08, 0.4)))
-            prof = UserProfile(
-                user_id=user_id,
+            self._profiles[uid] = UserProfile(
+                user_id=uid,
                 mean_scale=mean_scale,
                 priority=int(rng.integers(self.n_priorities)),
                 slack=float(rng.uniform(lo, hi)),
                 best_effort=bool(rng.random() < self.best_effort_fraction),
             )
-            self._profiles[user_id] = prof
-        return prof
 
-    def pick_user(self) -> int:
-        """Draw the next submitter from the power-law popularity."""
-        u = float(self._assign_rng.random())
-        return min(int(self.n_users * u ** self.skew), self.n_users - 1)
+    def profile(self, user_id: int) -> UserProfile:
+        """The stable profile of *user_id* (cached after first touch)."""
+        if not (0 <= user_id < self.n_users):
+            raise ValueError("user_id out of range")
+        if user_id not in self._profiles:
+            self._new_profiles([user_id])
+        return self._profiles[user_id]
 
     # -- job synthesis --------------------------------------------------
 
     def jobs_for(self, arrivals: Sequence[float],
                  job_id_base: int = 0) -> List[Job]:
-        """One :class:`Job` per arrival, drawn from per-user streams."""
-        arrivals = np.asarray(arrivals, dtype=float)
-        n = arrivals.size
-        services = np.empty(n)
-        longs = np.empty(n, dtype=bool)
-        prios = np.empty(n, dtype=int)
-        deadlines: List[Optional[float]] = []
-        for k in range(n):
-            uid = self.pick_user()
-            prof = self.profile(uid)
-            rng = self._user_rngs.get(uid)
-            if rng is None:
-                rng = self._user_stream(_NS_JOBS, uid)
-                self._user_rngs[uid] = rng
-            svc, is_long = draw_services(
-                rng, 1, self.mean_service * prof.mean_scale,
+        """One :class:`Job` per arrival, drawn from per-user streams.
+
+        Arrival *k* goes to the user picked by the *k*-th draw of the
+        assignment stream; its service comes from that user's next
+        draws.  Streams of users touched for the first time are built
+        in one batch per namespace.
+        """
+        times = np.asarray(arrivals, dtype=float).tolist()
+        n_users, skew = self.n_users, self.skew
+        # Python floats, not NumPy `**`, whose rounding may differ from
+        # C pow in the last place
+        uids = [min(int(n_users * u ** skew), n_users - 1)
+                for u in self._assign_rng.random(len(times)).tolist()]
+        profiles, streams = self._profiles, self._user_rngs
+        touched = dict.fromkeys(uids)
+        self._new_profiles([u for u in touched if u not in profiles])
+        fresh = [u for u in touched if u not in streams]
+        streams.update(zip(fresh, keyed_rngs(self.seed, _NS_JOBS, fresh)))
+        jobs = []
+        for k, (arrival, uid) in enumerate(zip(times, uids)):
+            prof = profiles[uid]
+            service, is_long = draw_services(
+                streams[uid], None, self.mean_service * prof.mean_scale,
                 self.sigma, self.long_fraction,
             )
-            services[k] = svc[0]
-            longs[k] = is_long[0]
-            prios[k] = prof.priority
-            deadlines.append(
-                None if prof.best_effort
-                else float(arrivals[k] + prof.slack * services[k])
-            )
-        return jobs_from_arrivals(
-            arrivals, services, is_long=longs, priorities=prios,
-            deadlines=deadlines, job_id_base=job_id_base,
-            tenant=self.tenant,
-        )
+            jobs.append(Job(
+                job_id=job_id_base + k,
+                arrival=arrival,
+                service=service,
+                is_long=is_long,
+                priority=prof.priority,
+                deadline=(None if prof.best_effort
+                          else arrival + prof.slack * service),
+                tenant=self.tenant,
+            ))
+        return jobs
 
     def stream_jobs(self, times, job_id_base: int = 0):
         """Lazy twin of :meth:`jobs_for`: one :class:`Job` per arrival
         pulled from the (possibly unbounded) *times* iterable.
 
-        Makes the identical per-arrival draws in the identical order —
-        pick_user from the assignment stream, lazy profile, one
-        ``draw_services`` pull from the user's job stream — so the
-        first ``n`` jobs are bit-exact with ``jobs_for(sample(n))`` on
-        a freshly :meth:`reset` population (the streamed-vs-
-        materialized equivalence the capture tests gate).  Never
-        materializes the job list: a horizon-bounded
-        :class:`~repro.sched.simulator.SimulatorSession` consumes it
-        one lookahead job at a time.
+        Runs :meth:`jobs_for` over consecutive batches of
+        ``STREAM_BATCH`` arrivals, so the first ``n`` jobs are bit-exact
+        with ``jobs_for(sample(n))`` on a freshly :meth:`reset`
+        population (the streamed-vs-materialized equivalence the
+        capture tests gate).  Jobs are still yielded one at a time, and
+        at most ``STREAM_BATCH - 1`` arrival times are read past the
+        last job yielded: a horizon-bounded
+        :class:`~repro.sched.simulator.SimulatorSession` consumes it one
+        lookahead job at a time.
         """
-        k = 0
-        for t in times:
-            arrival = float(t)
-            uid = self.pick_user()
-            prof = self.profile(uid)
-            rng = self._user_rngs.get(uid)
-            if rng is None:
-                rng = self._user_stream(_NS_JOBS, uid)
-                self._user_rngs[uid] = rng
-            svc, is_long = draw_services(
-                rng, 1, self.mean_service * prof.mean_scale,
-                self.sigma, self.long_fraction,
-            )
-            service = float(svc[0])
-            yield Job(
-                job_id=job_id_base + k,
-                arrival=arrival,
-                service=service,
-                is_long=bool(is_long[0]),
-                priority=int(prof.priority),
-                deadline=(
-                    None if prof.best_effort
-                    else float(arrival + prof.slack * service)
-                ),
-                tenant=self.tenant,
-            )
-            k += 1
+        times = iter(times)
+        while True:
+            batch = list(itertools.islice(times, STREAM_BATCH))
+            if not batch:
+                return
+            yield from self.jobs_for(batch, job_id_base)
+            job_id_base += len(batch)
 
     @property
     def touched_users(self) -> int:

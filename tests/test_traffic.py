@@ -13,9 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sched.simulator import Job
+from repro.sched.workloads import draw_services, jobs_from_arrivals
 from repro.traffic import (
     AdmissionSpec,
     ChaosSpec,
@@ -107,7 +108,96 @@ class TestArrivalProcesses:
             process_from_description({"kind": "nope"})
 
 
+class _ReferencePopulation:
+    """The per-arrival job loop `UserPopulation.jobs_for` replaced,
+    kept as the oracle: one submitter draw per arrival, NumPy's own
+    ``SeedSequence(seed, spawn_key=(ns, user))`` streams built per user
+    on first touch, size-1 ``draw_services`` pulls, then
+    ``jobs_from_arrivals``."""
+
+    NS_ASSIGN, NS_JOBS, NS_PROFILE = 0, 1, 2
+
+    def __init__(self, **params):
+        self.pop = UserPopulation(**params)  # parameters only
+        self.assign = self._stream(self.NS_ASSIGN)
+        self.streams = {}
+        self.profiles = {}
+
+    def _stream(self, *spawn_key):
+        return np.random.default_rng(
+            np.random.SeedSequence(self.pop.seed, spawn_key=spawn_key)
+        )
+
+    def profile(self, uid):
+        if uid not in self.profiles:
+            rng = self._stream(self.NS_PROFILE, uid)
+            lo, hi = self.pop.deadline_slack
+            self.profiles[uid] = (
+                float(np.exp(rng.normal(-0.08, 0.4))),
+                int(rng.integers(self.pop.n_priorities)),
+                float(rng.uniform(lo, hi)),
+                bool(rng.random() < self.pop.best_effort_fraction),
+            )
+        return self.profiles[uid]
+
+    def jobs_for(self, arrivals, job_id_base=0):
+        pop = self.pop
+        arrivals = np.asarray(arrivals, dtype=float)
+        n = arrivals.size
+        services = np.empty(n)
+        longs = np.empty(n, dtype=bool)
+        prios = np.empty(n, dtype=int)
+        deadlines = []
+        for k in range(n):
+            u = float(self.assign.random())
+            uid = min(int(pop.n_users * u ** pop.skew), pop.n_users - 1)
+            scale, priority, slack, best_effort = self.profile(uid)
+            if uid not in self.streams:
+                self.streams[uid] = self._stream(self.NS_JOBS, uid)
+            svc, is_long = draw_services(
+                self.streams[uid], 1, pop.mean_service * scale,
+                pop.sigma, pop.long_fraction,
+            )
+            services[k] = svc[0]
+            longs[k] = is_long[0]
+            prios[k] = priority
+            deadlines.append(None if best_effort
+                             else float(arrivals[k] + slack * services[k]))
+        return jobs_from_arrivals(
+            arrivals, services, is_long=longs, priorities=prios,
+            deadlines=deadlines, job_id_base=job_id_base, tenant=pop.tenant,
+        )
+
+
 class TestUserPopulation:
+    @pytest.mark.parametrize("params", [
+        # first-touch heavy: almost every arrival meets a new user
+        dict(n_users=1_000_000, seed=3),
+        # repeat heavy: 50 users share 600 arrivals
+        dict(n_users=50, seed=4, long_fraction=0.3),
+        dict(n_users=5_000, seed=5, skew=1.0),
+        dict(n_users=5_000, seed=6, skew=3.0, tenant="alpha"),
+        # widest user ids and a multi-word seed
+        dict(n_users=2**32, seed=2**64 + 9, skew=1.0),
+    ])
+    def test_jobs_for_matches_per_arrival_reference(self, params):
+        pop = UserPopulation(**params)
+        ref = _ReferencePopulation(**params)
+        arrivals = PoissonArrivals(rate=1.0).sample(600, seed=params["seed"])
+        jobs = pop.jobs_for(arrivals)
+        assert jobs == ref.jobs_for(arrivals)
+        # a second call continues every stream where the first left it
+        later = arrivals[:300] + arrivals[-1]
+        assert pop.jobs_for(later, job_id_base=9_000) \
+            == ref.jobs_for(later, job_id_base=9_000)
+        assert pop.touched_users == len(ref.streams)
+        if params["n_users"] == 1_000_000:  # first-touch heavy indeed
+            assert pop.touched_users > 0.9 * 900
+        for uid in (0, params["n_users"] // 3, params["n_users"] - 1):
+            prof = pop.profile(uid)
+            assert (prof.mean_scale, prof.priority, prof.slack,
+                    prof.best_effort) == ref.profile(uid)
+
     def test_jobs_deterministic_across_reset(self):
         pop = UserPopulation(n_users=10_000, seed=3)
         arrivals = PoissonArrivals(rate=1.0).sample(200, seed=0)
@@ -162,6 +252,13 @@ class TestUserPopulation:
         with pytest.raises(ValueError):
             UserPopulation(n_users=0)
         with pytest.raises(ValueError):
+            UserPopulation(n_users=2**32 + 1)
+        UserPopulation(n_users=2**32)  # ids up to 2**32 - 1 fit one word
+        with pytest.raises(ValueError):
+            UserPopulation(long_fraction=1.5)
+        with pytest.raises(ValueError):
+            UserPopulation(long_fraction=-0.1)
+        with pytest.raises(ValueError):
             UserPopulation(skew=0.5)
         with pytest.raises(ValueError):
             UserPopulation(deadline_slack=(3.0, 2.0))
@@ -169,6 +266,19 @@ class TestUserPopulation:
             UserPopulation(best_effort_fraction=1.5)
         with pytest.raises(ValueError):
             UserPopulation().profile(10**9)
+
+    @pytest.mark.parametrize("field, value", [
+        ("long_fraction", 1.5), ("n_users", 2**32 + 1),
+    ])
+    def test_bad_description_rejected_before_any_draw(self, field, value):
+        """A trace header with an out-of-range parameter fails when the
+        population is rebuilt, not at its first draw — so a capture
+        given such a population never gets to write a header-only
+        trace."""
+        desc = UserPopulation().describe()
+        desc[field] = value
+        with pytest.raises(ValueError):
+            UserPopulation.from_description(desc)
 
 
 class TestTrafficTrace:
@@ -424,9 +534,14 @@ class TestStreams:
     @given(
         kind=st.sampled_from(["poisson", "mmpp"]),
         seed=st.integers(min_value=0, max_value=999),
-        n=st.integers(min_value=1, max_value=80),
+        n=st.integers(min_value=1, max_value=700),
     )
-    @settings(max_examples=25, deadline=None)
+    # stream_jobs works in batches of STREAM_BATCH (256) arrivals: pin
+    # both sides of the first boundary and a run past the second
+    @example(kind="poisson", seed=1, n=256)
+    @example(kind="mmpp", seed=2, n=257)
+    @example(kind="poisson", seed=3, n=600)
+    @settings(max_examples=15, deadline=None)
     def test_stream_jobs_match_jobs_for(self, kind, seed, n):
         proc = _process_for(kind)
         times = proc.sample(n, seed=seed)
@@ -437,6 +552,22 @@ class TestStreams:
             _population().stream_jobs(proc.stream(seed)), n
         ))
         assert streamed == materialized
+
+    def test_stream_jobs_reads_less_than_a_batch_ahead(self):
+        from repro.traffic.population import STREAM_BATCH
+
+        read = []
+
+        def times():
+            for t in PoissonArrivals(rate=1.0).stream(0):
+                read.append(t)
+                yield t
+
+        stream = _population().stream_jobs(times())
+        yielded = 0
+        for n in (1, STREAM_BATCH - 1, 1, STREAM_BATCH, 3):
+            yielded += len(list(itertools.islice(stream, n)))
+            assert yielded <= len(read) <= yielded + STREAM_BATCH - 1
 
     def test_streamed_run_matches_materialized_truncation(self):
         """A horizon-bounded streamed session must produce the same

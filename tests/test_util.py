@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.util import Stopwatch, Table, TimerRegistry, format_seconds, format_si
-from repro.util.rng import make_rng, permutation_with_fixed_sum, spawn_rngs
+from repro.util.rng import (
+    keyed_rngs,
+    make_rng,
+    permutation_with_fixed_sum,
+    spawn_rngs,
+)
 
 
 class TestMakeRng:
@@ -51,6 +56,67 @@ class TestSpawnRngs:
 
     def test_zero_ok(self):
         assert spawn_rngs(0, 0) == []
+
+
+def _seedseq_rng(seed, namespace, key):
+    """The oracle: NumPy's own SeedSequence spawn-key stream."""
+    return np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(namespace, key))
+    )
+
+
+class TestKeyedRngs:
+    """`keyed_rngs` is a batched twin of NumPy's SeedSequence seeding;
+    these tests recheck it against the installed NumPy on every run."""
+
+    @given(
+        seed=st.one_of(
+            st.just(0),
+            st.integers(min_value=0, max_value=2**32 - 1),
+            st.integers(min_value=2**32, max_value=2**64 - 1),
+            st.integers(min_value=2**64, max_value=2**160),
+        ),
+        namespace=st.integers(min_value=0, max_value=2),
+        keys=st.lists(
+            st.one_of(st.just(0), st.just(2**32 - 1),
+                      st.integers(min_value=0, max_value=2**32 - 1)),
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_seed_sequence(self, seed, namespace, keys):
+        rngs = keyed_rngs(seed, namespace, keys)
+        assert len(rngs) == len(keys)
+        for key, rng in zip(keys, rngs):
+            assert rng.bit_generator.state \
+                == _seedseq_rng(seed, namespace, key).bit_generator.state
+
+    def test_duplicate_unsorted_keys_and_array_input(self):
+        keys = [7, 2**32 - 1, 0, 7, 3, 0]
+        for batch in (keys, np.array(keys, dtype=np.uint32),
+                      np.array(keys, dtype=np.int64)):
+            rngs = keyed_rngs(2**64 + 11, 1, batch)
+            draws = [rng.random(3) for rng in rngs]
+            for key, got in zip(keys, draws):
+                np.testing.assert_array_equal(
+                    got, _seedseq_rng(2**64 + 11, 1, key).random(3))
+            assert rngs[0] is not rngs[3]  # duplicates get their own stream
+
+    def test_empty(self):
+        assert keyed_rngs(5, 2, []) == []
+
+    @pytest.mark.parametrize("keys", [
+        [-1], [0, 2**32], [2**64], [1.5], [True], [[1, 2]],
+    ])
+    def test_key_wider_than_one_word_raises(self, keys):
+        with pytest.raises(ValueError):
+            keyed_rngs(0, 1, keys)
+
+    def test_negative_seed_or_namespace_raises(self):
+        with pytest.raises(ValueError):
+            keyed_rngs(-1, 1, [0])
+        with pytest.raises(ValueError):
+            keyed_rngs(0, -1, [0])
 
 
 class TestPermutationWithFixedSum:
