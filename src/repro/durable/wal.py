@@ -54,6 +54,37 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
+def _frames(fh) -> Iterator[bytes]:
+    """Committed payloads of the WAL open on *fh*, read past its magic.
+
+    The one frame scanner, shared by :func:`read_records` and the open
+    scan of :class:`WriteAheadLog`.  The first bad frame ends the
+    committed prefix: a short header, a CRC mismatch, or a declared
+    length that exceeds the bytes left in the file — a torn payload,
+    or a bit-rotted length field, which is never handed to ``read`` as
+    a request size (one flipped high byte would otherwise become a
+    multi-GiB up-front allocation).
+    """
+    end = fh.tell()
+    size = os.fstat(fh.fileno()).st_size
+    while True:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            return
+        length, crc = _HEADER.unpack(header)
+        end += _HEADER.size + length
+        if end > size:
+            # a live writer may have appended since the last look
+            size = os.fstat(fh.fileno()).st_size
+            if end > size:
+                return
+        payload = fh.read(length)
+        if len(payload) < length \
+                or zlib.crc32(payload) & 0xFFFFFFFF != crc:
+            return
+        yield payload
+
+
 def read_records(path: Union[str, Path]) -> Iterator[bytes]:
     """Yield the committed payloads of the WAL at *path*, oldest first.
 
@@ -66,19 +97,8 @@ def read_records(path: Union[str, Path]) -> Iterator[bytes]:
     loader is only supposed to inspect.
     """
     with open(Path(path), "rb") as fh:
-        if fh.read(len(MAGIC)) != MAGIC:
-            return
-        while True:
-            header = fh.read(_HEADER.size)
-            if len(header) < _HEADER.size:
-                return
-            length, crc = _HEADER.unpack(header)
-            payload = fh.read(length)
-            if len(payload) < length:
-                return
-            if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-                return
-            yield payload
+        if fh.read(len(MAGIC)) == MAGIC:
+            yield from _frames(fh)
 
 
 class WriteAheadLog:
@@ -137,23 +157,13 @@ class WriteAheadLog:
         a crash between create and header write) is valid-to-offset 0,
         which the caller truncates and the next append reheaders.
         """
-        size = path.stat().st_size
         with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
             if fh.read(len(MAGIC)) != MAGIC:
                 return 0, 0, size
-            end = len(MAGIC)
-            count = 0
-            while True:
-                header = fh.read(_HEADER.size)
-                if len(header) < _HEADER.size:
-                    break
-                length, crc = _HEADER.unpack(header)
-                payload = fh.read(length)
-                if len(payload) < length:
-                    break
-                if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-                    break
-                end = fh.tell()
+            end, count = len(MAGIC), 0
+            for payload in _frames(fh):
+                end += _HEADER.size + len(payload)
                 count += 1
             return end, count, size
 

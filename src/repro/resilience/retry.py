@@ -19,9 +19,10 @@ replayable under checkpoint/restart.
 
 from __future__ import annotations
 
+import copy
 import math
 import sys
-from typing import Optional
+from typing import Any, Dict, Optional
 
 
 def _check_attempt(attempt: int) -> None:
@@ -73,7 +74,11 @@ class ExponentialBackoff:
     the computed delay) so killed jobs don't stampede back in lockstep;
     it requires an injected ``rng`` (a ``numpy.random.Generator`` or
     anything with ``uniform(lo, hi)``) so schedules are deterministic
-    and checkpoint/restart replays bit-identically.
+    and checkpoint/restart replays bit-identically.  A jittered policy
+    draws on every re-queue, so its RNG is event-loop state:
+    :meth:`checkpoint_state`/:meth:`restore_state` save and rewind a
+    Generator's state in place (the caller's Generator sees the
+    rewind) for the steppers that checkpoint a schedule.
     """
 
     def __init__(
@@ -130,3 +135,15 @@ class ExponentialBackoff:
                 self.rng.uniform(-1.0, 1.0)
             )
         return delay
+
+    # -- checkpoint protocol -------------------------------------------
+
+    def checkpoint_state(self) -> Optional[Dict[str, Any]]:
+        """The jitter Generator's state; ``None`` when the policy never
+        draws (no jitter), so such checkpoints carry no entry for it."""
+        if self.jitter == 0.0:
+            return None
+        return {"rng": copy.deepcopy(self.rng.bit_generator.state)}
+
+    def restore_state(self, state: Dict[str, Any]) -> None:
+        self.rng.bit_generator.state = copy.deepcopy(state["rng"])

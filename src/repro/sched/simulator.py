@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -184,8 +185,8 @@ class _ReferenceQueue:
     def __len__(self) -> int:
         return len(self.items)
 
-    def select_starts(self, n_free: int,
-                      running_jobs: List[Job]) -> List[Job]:
+    def select_starts(self, n_free: int, running: List[Tuple]) -> List[Job]:
+        running_jobs = [job for _, _, job, _ in running]
         picks = self.policy.select(self.items, n_free, running_jobs)
         picks = [
             i for i in sorted(set(picks), reverse=True)
@@ -201,6 +202,9 @@ class _ReferenceQueue:
 
     def restore_state(self, state: Dict) -> None:
         self.items = list(state["items"])
+
+
+_SEQ = itemgetter(1)
 
 
 class KeyedFastQueue:
@@ -226,14 +230,15 @@ class KeyedFastQueue:
     def __len__(self) -> int:
         return len(self.heap)
 
-    def select_starts(self, n_free: int,
-                      running_jobs: List[Job]) -> List[Job]:
-        picked = []
-        while len(picked) < n_free and self.heap:
-            _, seq, job = heapq.heappop(self.heap)
-            picked.append((seq, job))
-        picked.sort(key=lambda t: -t[0])
-        return [job for _, job in picked]
+    def select_starts(self, n_free: int, running: List[Tuple]) -> List[Job]:
+        # a total order needs no view of the running jobs
+        heap = self.heap
+        k = min(n_free, len(heap))
+        if k == 1:  # one GPU freed: the common case under load
+            return [heapq.heappop(heap)[2]]
+        picked = [heapq.heappop(heap) for _ in range(k)]
+        picked.sort(key=_SEQ, reverse=True)
+        return [job for _, _, job in picked]
 
     def checkpoint_state(self) -> Dict:
         return {"heap": list(self.heap), "seq": self.seq}
@@ -284,10 +289,9 @@ class QuotaFastQueue:
             return seq, job
         return None
 
-    def select_starts(self, n_free: int,
-                      running_jobs: List[Job]) -> List[Job]:
+    def select_starts(self, n_free: int, running: List[Tuple]) -> List[Job]:
         reserved = int(self.long_quota * self.n_gpus)
-        long_running = sum(1 for j in running_jobs if j.is_long)
+        long_running = sum(1 for _, _, job, _ in running if job.is_long)
         picked: List[Tuple[int, Job]] = []
         picked_long = 0
         # honor the quota first (oldest long jobs)
@@ -394,19 +398,21 @@ class _StreamSource:
 
 
 class SimulatorSession:
-    """Stepwise, checkpointable twin of the batch event loop.
+    """The scheduler's event loop, resumable and checkpointable.
 
-    One :meth:`step` processes one event (arrival/re-queue batch,
-    completion, or fault), after which the session can snapshot its
-    **entire** live state — event heaps, queue contents, per-job
-    attempt counts, accounting, the fault injector's RNG, and the
-    admission controller's breaker — and restore it later, in this
-    process or another one.  Driving a session to completion produces
-    a :class:`SimResult` bit-identical to
-    :meth:`ClusterSimulator.run` on the same inputs (enforced by the
-    equivalence matrix in ``tests/test_durable.py``): the repo's
-    usual reference-vs-fast dualism, with the batch loop as the fast
-    engine and this class as the rewindable one.
+    :meth:`advance` is the one event loop every schedule runs through
+    — :meth:`ClusterSimulator.run`, the traffic driver, capture, A/B
+    replay, incident recording and every MuMMI cycle.  Between calls
+    the session can snapshot its **entire** live state — event heaps,
+    queue contents, per-job attempt counts, accounting, the fault
+    injector's RNG, a jittered retry policy's RNG, and the admission
+    controller's breaker — and restore it later, in this process or
+    another one.  A run cut anywhere (``advance(k)``, checkpoint,
+    restore into a fresh session, ``advance()``) finishes
+    bit-identically to the uninterrupted run; ``tests/test_durable.py``
+    holds that property.  The reference twin lives one level down, at
+    the queue: ``engine="reference"`` drives the same loop through
+    ``policy.select`` instead of a heap-backed queue.
 
     The session satisfies the stepper protocol of
     :class:`~repro.resilience.ResilientDriver` and
@@ -467,12 +473,6 @@ class SimulatorSession:
         self.admission = admission
         self.queue = queue
         self.tap = tap
-        # bound-method cache for the hot loop: a tap that opts out of
-        # a hook (``on_decision = None``) costs nothing per event
-        self._tap_job = None if tap is None else \
-            getattr(tap, "on_job", None)
-        self._tap_decision = None if tap is None else \
-            getattr(tap, "on_decision", None)
         # --- live event-loop state (the checkpointed part) ----------
         if stream is not None:
             self.jobs = None
@@ -485,13 +485,15 @@ class SimulatorSession:
             self.n = len(self.jobs)
             self.arrivals = [(j.arrival, j.job_id, j) for j in self.jobs]
         self.next_arrival = 0
+        #: re-queued attempts of killed jobs: (ready_time, seq, job)
         self.requeues: List[Tuple[float, int, Job]] = []
         self.requeue_seq = 0
+        #: (finish_time, job_id, job, start_time)
         self.running: List[Tuple[float, int, Job, float]] = []
         self.waits: List[float] = []
         self.turnarounds: List[float] = []
-        self.busy_time = 0.0
-        self.useful_time = 0.0
+        self.busy_time = 0.0  # occupied GPU-time, incl. work later wasted
+        self.useful_time = 0.0  # service of completed jobs only
         self.wasted_time = 0.0
         self.t = 0.0
         self.queue_series: List[Tuple[float, int]] = []
@@ -533,156 +535,266 @@ class SimulatorSession:
             or self.completed + self.dropped + self.shed >= self.n
         )
 
-    def _start_ready(self, now: float) -> None:
-        queue, running = self.queue, self.running
-        while len(queue) and len(running) < self.n_gpus:
-            free = self.n_gpus - len(running)
-            batch = queue.select_starts(free, [j for _, _, j, _ in running])
-            if not batch:
-                break
-            for job in batch:
-                self.waits.append(now - job.arrival)
-                self.turnarounds.append(now - job.arrival + job.service)
-                if job.tenant is not None:
-                    self.tenant_waits.setdefault(job.tenant, []).append(
-                        now - job.arrival
-                    )
-                    self.tenant_turnarounds.setdefault(
-                        job.tenant, []
-                    ).append(now - job.arrival + job.service)
-                heapq.heappush(
-                    running, (now + job.service, job.job_id, job, now)
-                )
-                self.started += 1
+    def advance(self, max_events: Optional[int] = None) -> int:
+        """Process up to *max_events* events (all of them when
+        ``None``); return how many were processed.
 
-    def _enqueue(self, job: Job, now: float) -> bool:
-        if self.admission is not None and not self.admission.admit(
-            job, now=now, queue_len=len(self.queue),
-            n_running=len(self.running), n_gpus=self.n_gpus,
-        ):
-            self.shed += 1
-            if job.tenant is not None:
-                self.tenant_shed[job.tenant] = (
-                    self.tenant_shed.get(job.tenant, 0) + 1
-                )
-            if self._tap_decision is not None:
-                self._tap_decision("shed", now, job.job_id)
-            return False
-        self.queue.push(job)
-        return True
+        The scheduler's only event loop.  Each event is an
+        arrival/re-queue batch, a completion, or a fault; at equal
+        times a completion beats a fault, and a fault beats an
+        arrival or re-queue.  The loop ends when every job is
+        resolved (completed, dropped, or shed), when the next event
+        lies past the horizon (the clock stops *at* the horizon), or
+        when only faults remain — the policy is refusing to start the
+        leftover queue.  ``events`` counts the iteration that ends
+        the loop; a resolved session counts nothing more.
+
+        The queue's bound methods, the heaps and accounting lists,
+        the tap hooks and the admission, injector and retry methods
+        are hoisted into locals once per call, and the scalar state
+        is written back in a ``finally``: a budget stop or an
+        exception leaves the session as checkpointable as it would be
+        after the same events processed one :meth:`step` at a time.
+        """
+        if self._finished:
+            return 0
+        heappush, heappop = heapq.heappush, heapq.heappop
+        inf = float("inf")
+        # -1 never equals the processed count: no budget
+        budget = -1 if max_events is None else max_events
+        n_gpus = self.n_gpus
+        stop = inf if self.horizon is None else self.horizon
+        queue = self.queue
+        push, select_starts = queue.push, queue.select_starts
+        running, requeues = self.running, self.requeues
+        attempts = self.attempts
+        stream, arrivals = self._stream, self.arrivals
+        n_arrivals = len(arrivals)
+        waits, turnarounds = self.waits.append, self.turnarounds.append
+        queue_series = self.queue_series.append
+        completions = self.completions.append
+        tenant_waits = self.tenant_waits
+        tenant_turnarounds = self.tenant_turnarounds
+        tenant_completed = self.tenant_completed
+        tenant_completed_service = self.tenant_completed_service
+        tap = self.tap
+        on_job = None if tap is None else getattr(tap, "on_job", None)
+        on_decision = None if tap is None else \
+            getattr(tap, "on_decision", None)
+        admission = self.admission
+        if admission is None:
+            admit = record_success = record_failure = None
+        else:
+            admit = admission.admit
+            record_success = admission.record_success
+            record_failure = admission.record_failure
+        injector = self.fault_injector
+        if injector is None:
+            next_fault_after = pick_victim = None
+            next_fault = inf
+        else:
+            next_fault_after = injector.next_fault_after
+            pick_victim = injector.pick_victim
+            next_fault = self.next_fault
+        retry_policy = self.retry_policy
+        requeue_delay = None if retry_policy is None else \
+            retry_policy.requeue_delay
+        # every push adds one job and select_starts removes the jobs it
+        # returns, so the loop counts the queue instead of asking it
+        queued = len(queue)
+        n, t, events = self.n, self.t, self.events
+        next_arrival, requeue_seq = self.next_arrival, self.requeue_seq
+        busy_time, useful_time, wasted_time = \
+            self.busy_time, self.useful_time, self.wasted_time
+        completed, dropped, shed = self.completed, self.dropped, self.shed
+        failures, retries, started = \
+            self.failures, self.retries, self.started
+        finished = False
+        processed = 0
+        try:
+            while processed != budget:
+                if completed + dropped + shed >= n and (
+                    stream is None or stream.exhausted
+                ):
+                    finished = True
+                    break
+                events += 1
+                if stream is None:
+                    t_arr = (
+                        arrivals[next_arrival][0]
+                        if next_arrival < n_arrivals else inf
+                    )
+                else:
+                    t_arr = stream.peek_time()
+                t_work = requeues[0][0] if requeues else inf
+                if t_arr < t_work:
+                    t_work = t_arr
+                t_fin = running[0][0] if running else inf
+                if t_fin < t_work:
+                    t_work = t_fin
+                if t_work == inf:
+                    # only fault events (or nothing) remain: the policy
+                    # is refusing to start the leftover queue
+                    finished = True
+                    break
+                t_next = t_work if t_work <= next_fault else next_fault
+                if t_next > stop:
+                    t = stop
+                    finished = True
+                    break
+                t = t_next
+                if t_fin <= t:
+                    finish, job_id, job, start = heappop(running)
+                    completed += 1
+                    completions((t, job_id))
+                    if on_decision is not None:
+                        on_decision("complete", t, job_id)
+                    busy_time += finish - start
+                    useful_time += job.service
+                    tenant = job.tenant
+                    if tenant is not None:
+                        tenant_completed[tenant] = (
+                            tenant_completed.get(tenant, 0) + 1
+                        )
+                        tenant_completed_service[tenant] = (
+                            tenant_completed_service.get(tenant, 0.0)
+                            + job.service
+                        )
+                    if record_success is not None:
+                        record_success(t, job)
+                elif next_fault <= t:
+                    next_fault = next_fault_after(t)
+                    if running:
+                        victim = pick_victim(len(running))
+                        _, job_id, job, start = running.pop(victim)
+                        heapq.heapify(running)
+                        failures += 1
+                        if on_decision is not None:
+                            on_decision("fault", t, job_id)
+                        lost = t - start
+                        busy_time += lost
+                        wasted_time += lost
+                        if record_failure is not None:
+                            record_failure(t, job)
+                        attempt = attempts.get(job_id, 0) + 1
+                        attempts[job_id] = attempt
+                        delay = (
+                            0.0 if requeue_delay is None
+                            else requeue_delay(attempt)
+                        )
+                        if delay is None:
+                            dropped += 1
+                            if on_decision is not None:
+                                on_decision("drop", t, job_id)
+                        else:
+                            retries += 1
+                            requeue_seq += 1
+                            heappush(requeues, (
+                                t + delay, requeue_seq,
+                                replace(job, arrival=t + delay),
+                            ))
+                else:
+                    # first arrivals, then re-queues, each through
+                    # admission; a shed job never reaches the queue
+                    if stream is None:
+                        while (
+                            next_arrival < n_arrivals
+                            and arrivals[next_arrival][0] <= t
+                        ):
+                            job = arrivals[next_arrival][2]
+                            if on_job is not None:
+                                on_job(job)
+                            if admit is None or admit(
+                                job, t, queued, len(running), n_gpus
+                            ):
+                                push(job)
+                                queued += 1
+                            else:
+                                shed += 1
+                                self._note_shed(job, t)
+                            next_arrival += 1
+                    else:
+                        while stream.peek_time() <= t:
+                            job = stream.pop()
+                            n += 1
+                            if on_job is not None:
+                                on_job(job)
+                            if admit is None or admit(
+                                job, t, queued, len(running), n_gpus
+                            ):
+                                push(job)
+                                queued += 1
+                            else:
+                                shed += 1
+                                self._note_shed(job, t)
+                    while requeues and requeues[0][0] <= t:
+                        job = heappop(requeues)[2]
+                        if admit is None or admit(
+                            job, t, queued, len(running), n_gpus
+                        ):
+                            push(job)
+                            queued += 1
+                        else:
+                            shed += 1
+                            self._note_shed(job, t)
+                # start whatever the policy picks on the free GPUs
+                while queued and len(running) < n_gpus:
+                    batch = select_starts(n_gpus - len(running), running)
+                    if not batch:
+                        break
+                    queued -= len(batch)
+                    for job in batch:
+                        wait = t - job.arrival
+                        waits(wait)
+                        turnaround = wait + job.service
+                        turnarounds(turnaround)
+                        tenant = job.tenant
+                        if tenant is not None:
+                            tenant_waits.setdefault(tenant, []).append(
+                                wait
+                            )
+                            tenant_turnarounds.setdefault(
+                                tenant, []
+                            ).append(turnaround)
+                        heappush(
+                            running, (t + job.service, job.job_id, job, t)
+                        )
+                        started += 1
+                queue_series((t, queued))
+                processed += 1
+        finally:
+            self.n, self.t, self.events = n, t, events
+            self.next_arrival, self.requeue_seq = next_arrival, requeue_seq
+            self.busy_time, self.useful_time, self.wasted_time = \
+                busy_time, useful_time, wasted_time
+            self.completed, self.dropped, self.shed = completed, dropped, shed
+            self.failures, self.retries, self.started = \
+                failures, retries, started
+            if injector is not None:
+                self.next_fault = next_fault
+            if finished:
+                self._finished = True
+        return processed
+
+    def _note_shed(self, job: Job, now: float) -> None:
+        """Per-tenant and tap bookkeeping of one shed job (the loop
+        keeps the count)."""
+        if job.tenant is not None:
+            self.tenant_shed[job.tenant] = (
+                self.tenant_shed.get(job.tenant, 0) + 1
+            )
+        on_decision = getattr(self.tap, "on_decision", None)
+        if on_decision is not None:
+            on_decision("shed", now, job.job_id)
 
     def step(self) -> bool:
-        """Process one event; False when the schedule is resolved.
-
-        A verbatim port of one iteration of the batch event loop —
-        same event ordering (completion beats fault beats
-        arrival/re-queue at equal times), same horizon and
-        starvation-break semantics — so a session stepped to
-        completion is bit-identical to the batch engine.
-        """
-        if self.done:
-            self._finished = True
-            return False
-        inf = float("inf")
-        self.events += 1
-        if self._stream is not None:
-            t_arr = self._stream.peek_time()
-        else:
-            t_arr = (
-                self.arrivals[self.next_arrival][0]
-                if self.next_arrival < len(self.arrivals) else inf
-            )
-        t_req = self.requeues[0][0] if self.requeues else inf
-        t_fin = self.running[0][0] if self.running else inf
-        t_fault = self.next_fault if self.fault_injector is not None else inf
-        t_work = min(t_arr, t_req, t_fin)
-        if t_work == inf:
-            # only fault events (or nothing) remain: the policy is
-            # refusing to start the leftover queue — no progress
-            self._finished = True
-            return False
-        t_next = min(t_work, t_fault)
-        if self.horizon is not None and t_next > self.horizon:
-            self.t = self.horizon
-            self._finished = True
-            return False
-        self.t = t = t_next
-        if t_fin <= t_next and self.running:
-            finish, _, job, start = heapq.heappop(self.running)
-            self.completed += 1
-            self.completions.append((t, job.job_id))
-            if self._tap_decision is not None:
-                self._tap_decision("complete", t, job.job_id)
-            self.busy_time += finish - start
-            self.useful_time += job.service
-            if job.tenant is not None:
-                self.tenant_completed[job.tenant] = (
-                    self.tenant_completed.get(job.tenant, 0) + 1
-                )
-                self.tenant_completed_service[job.tenant] = (
-                    self.tenant_completed_service.get(job.tenant, 0.0)
-                    + job.service
-                )
-            if self.admission is not None:
-                self.admission.record_success(t, job=job)
-        elif t_fault <= t_next and self.fault_injector is not None:
-            self.next_fault = self.fault_injector.next_fault_after(t)
-            if self.running:
-                victim = self.fault_injector.pick_victim(len(self.running))
-                _, job_id, job, start = self.running.pop(victim)
-                heapq.heapify(self.running)
-                self.failures += 1
-                if self._tap_decision is not None:
-                    self._tap_decision("fault", t, job_id)
-                lost = t - start
-                self.busy_time += lost
-                self.wasted_time += lost
-                if self.admission is not None:
-                    self.admission.record_failure(t, job=job)
-                attempt = self.attempts.get(job_id, 0) + 1
-                self.attempts[job_id] = attempt
-                delay = (
-                    0.0 if self.retry_policy is None
-                    else self.retry_policy.requeue_delay(attempt)
-                )
-                if delay is None:
-                    self.dropped += 1
-                    if self._tap_decision is not None:
-                        self._tap_decision("drop", t, job_id)
-                else:
-                    self.retries += 1
-                    self.requeue_seq += 1
-                    heapq.heappush(self.requeues, (
-                        t + delay, self.requeue_seq,
-                        replace(job, arrival=t + delay),
-                    ))
-        else:
-            if self._stream is not None:
-                while self._stream.peek_time() <= t:
-                    job = self._stream.pop()
-                    self.n += 1
-                    if self._tap_job is not None:
-                        self._tap_job(job)
-                    self._enqueue(job, t)
-            else:
-                while (
-                    self.next_arrival < len(self.arrivals)
-                    and self.arrivals[self.next_arrival][0] <= t
-                ):
-                    job = self.arrivals[self.next_arrival][2]
-                    if self._tap_job is not None:
-                        self._tap_job(job)
-                    self._enqueue(job, t)
-                    self.next_arrival += 1
-            while self.requeues and self.requeues[0][0] <= t:
-                self._enqueue(heapq.heappop(self.requeues)[2], t)
-        self._start_ready(t)
-        self.queue_series.append((t, len(self.queue)))
-        return True
+        """Process one event (``advance(1)``); False once the schedule
+        is resolved."""
+        return self.advance(1) == 1
 
     def run_to_completion(self) -> SimResult:
-        while self.step():
-            pass
+        """Drive every remaining event, then return :meth:`result`."""
+        self.advance()
         return self.result()
 
     def result(self) -> SimResult:
@@ -741,17 +853,18 @@ class SimulatorSession:
 
     def checkpoint_state(self) -> Dict:
         """Snapshot everything the event loop reads: heaps, queue,
-        clocks, accounting, and the injector/admission streams.  Jobs
-        are frozen dataclasses, so shallow container copies are full
-        snapshots, and the whole dict is picklable for the durable
-        layer."""
+        clocks, accounting, and the injector/admission streams (plus
+        a ``"retry"`` entry when the retry policy draws from an RNG).
+        Jobs are frozen dataclasses, so shallow container copies are
+        full snapshots, and the whole dict is picklable for the
+        durable layer."""
         if self._stream is not None:
             raise RuntimeError(
                 "streamed sessions are not checkpointable — the "
                 "generator's state cannot be snapshotted; capture the "
                 "stream to a trace and resume from the materialized jobs"
             )
-        return {
+        state = {
             "next_arrival": self.next_arrival,
             "requeues": list(self.requeues),
             "requeue_seq": self.requeue_seq,
@@ -786,15 +899,13 @@ class SimulatorSession:
             "next_fault": self.next_fault,
             "finished": self._finished,
             "queue": self.queue.checkpoint_state(),
-            "injector": (
-                None if self.fault_injector is None
-                else self.fault_injector.checkpoint_state()
-            ),
-            "admission": (
-                None if self.admission is None
-                else self.admission.checkpoint_state()
-            ),
+            "injector": checkpoint_of(self.fault_injector),
+            "admission": checkpoint_of(self.admission),
         }
+        retry = checkpoint_of(self.retry_policy)
+        if retry is not None:
+            state["retry"] = retry
+        return state
 
     def restore_state(self, state: Dict) -> None:
         self.next_arrival = state["next_arrival"]
@@ -838,6 +949,8 @@ class SimulatorSession:
             self.fault_injector.restore_state(state["injector"])
         if self.admission is not None and state["admission"] is not None:
             self.admission.restore_state(state["admission"])
+        if "retry" in state:
+            self.retry_policy.restore_state(state["retry"])
 
 
 class ClusterSimulator:
@@ -874,13 +987,13 @@ class ClusterSimulator:
         engine: str = "auto",
         admission=None,
     ) -> SimulatorSession:
-        """A stepwise, checkpointable run of the same event loop.
+        """A resumable, checkpointable run: the session :meth:`run`
+        drives to completion, handed to the caller instead.
 
-        Same inputs and bit-identical results as :meth:`run`, but
-        advanced one event at a time with full
-        ``checkpoint_state``/``restore_state`` support — the entry
-        point the durable layer uses to SIGKILL and resume a
-        schedule mid-flight.
+        Advance it with ``advance(k)`` / ``step()``, snapshot it with
+        ``checkpoint_state``/``restore_state`` — the entry point the
+        durable layer uses to SIGKILL and resume a schedule
+        mid-flight.
         """
         return SimulatorSession(
             self.n_gpus, jobs, policy, horizon=horizon,
@@ -912,11 +1025,12 @@ class ClusterSimulator:
         *admission* (a
         :class:`repro.guard.deadline.AdmissionController` or anything
         with the same ``admit``/``record_failure``/``record_success``
-        surface) is consulted at every enqueue — first arrivals and
-        post-fault re-queues alike — and may shed jobs whose deadline
-        is unmeetable or whose priority is unprotected under pressure;
-        shed jobs count in ``SimResult.shed``.  Fault kills and
-        completions feed its breaker.
+        surface, called positionally) is consulted at every enqueue —
+        first arrivals and post-fault re-queues alike — and may shed
+        jobs whose deadline is unmeetable or whose priority is
+        unprotected under pressure; shed jobs count in
+        ``SimResult.shed``.  Fault kills and completions feed its
+        breaker.
 
         ``engine`` selects the queue implementation: ``"reference"``
         (policy.select over a list), ``"fast"`` (heap-backed, requires
@@ -924,270 +1038,58 @@ class ClusterSimulator:
         when available, reference otherwise.
 
         With ``REPRO_OBS_VALIDATE`` set and a fast queue in play, the
-        run is validated: the reference engine replays the same jobs
-        (and, via checkpoint/restore, the same fault schedule) and the
-        two :class:`SimResult`\\ s must be bit-identical — the PR 2
+        run is validated: the same loop replays the same jobs on the
+        reference queue (and, via checkpoint/restore, the same fault
+        schedule, retry jitter and admission state) and the two
+        :class:`SimResult`\\ s must be bit-identical — the
         fast-engine contract, enforced at runtime.
         """
         jobs = list(jobs)  # accept any iterable (arrival streams)
         if not jobs:
             raise ValueError("no jobs to schedule")
-        jobs = sorted(jobs, key=lambda j: (j.arrival, j.job_id))
         queue = self._make_queue(policy, engine)
         is_fast = not isinstance(queue, _ReferenceQueue)
+        validate = is_fast and _validate.validation_enabled()
+
+        def drive(queue) -> SimResult:
+            return SimulatorSession(
+                self.n_gpus, jobs, horizon=horizon,
+                fault_injector=fault_injector, retry_policy=retry_policy,
+                admission=admission, queue=queue,
+            ).run_to_completion()
+
+        # the reference replay rewinds these to where the fast run
+        # began (the injector draws its first fault time when the
+        # session is built), then leaves them where the fast run ended
+        loop_inputs = (fault_injector, retry_policy, admission)
+        pre = [checkpoint_of(x) for x in loop_inputs] if validate else None
         with _trace.span("sched.run", jobs=len(jobs), gpus=self.n_gpus,
                          engine="fast" if is_fast else "reference"):
-            if is_fast and _validate.validation_enabled():
-                return self._run_validated(
-                    jobs, policy, horizon, fault_injector, retry_policy,
-                    queue, admission,
+            fast = drive(queue)
+            if validate:
+                post = [checkpoint_of(x) for x in loop_inputs]
+                _rewind(loop_inputs, pre)
+                ref = drive(_ReferenceQueue(policy))
+                _rewind(loop_inputs, post)
+                _validate.check(
+                    "sched.engine", fast == ref,
+                    f"fast {fast.makespan=} {fast.completed=} vs "
+                    f"reference {ref.makespan=} {ref.completed=}",
                 )
-            return self._run_events(
-                jobs, horizon, fault_injector, retry_policy, queue,
-                admission,
-            )
+            return fast
 
-    def _run_validated(
-        self, jobs, policy, horizon, fault_injector, retry_policy, queue,
-        admission=None,
-    ) -> SimResult:
-        """Run fast, replay on the reference engine, demand equality.
 
-        The fault injector's RNG (and the admission controller's
-        breaker state) is checkpointed before the fast run and restored
-        for the replay so both engines see the same fault schedule and
-        shed decisions; afterwards each is left in the post-fast-run
-        state, as if only the fast run had happened.
-        """
-        pre = (
-            fault_injector.checkpoint_state()
-            if fault_injector is not None else None
-        )
-        pre_adm = (
-            admission.checkpoint_state() if admission is not None else None
-        )
-        fast = self._run_events(
-            jobs, horizon, fault_injector, retry_policy, queue, admission
-        )
-        if fault_injector is not None:
-            post = fault_injector.checkpoint_state()
-            fault_injector.restore_state(pre)
-        if admission is not None:
-            post_adm = admission.checkpoint_state()
-            admission.restore_state(pre_adm)
-        ref = self._run_events(
-            jobs, horizon, fault_injector, retry_policy,
-            _ReferenceQueue(policy), admission,
-        )
-        if fault_injector is not None:
-            fault_injector.restore_state(post)
-        if admission is not None:
-            admission.restore_state(post_adm)
-        _validate.check(
-            "sched.engine", fast == ref,
-            f"fast {fast.makespan=} {fast.completed=} vs "
-            f"reference {ref.makespan=} {ref.completed=}",
-        )
-        return fast
+def checkpoint_of(owner) -> Optional[Dict]:
+    """*owner*'s ``checkpoint_state()``, or ``None`` when it is absent
+    or keeps no state (a stateless retry policy has no
+    ``checkpoint_state``; a jitter-free
+    :class:`~repro.resilience.retry.ExponentialBackoff` returns
+    ``None`` from it)."""
+    save = getattr(owner, "checkpoint_state", None)
+    return None if save is None else save()
 
-    def _run_events(
-        self, jobs, horizon, fault_injector, retry_policy, queue,
-        admission=None,
-    ) -> SimResult:
-        """The event loop proper, on an already-constructed queue."""
-        n = len(jobs)
-        arrivals = [(j.arrival, j.job_id, j) for j in jobs]
-        next_arrival = 0
-        #: re-queued attempts of killed jobs: (ready_time, seq, job)
-        requeues: List[Tuple[float, int, Job]] = []
-        requeue_seq = 0
-        #: (finish_time, job_id, job, start_time)
-        running: List[Tuple[float, int, Job, float]] = []
-        waits: List[float] = []
-        turnarounds: List[float] = []
-        busy_time = 0.0   # occupied GPU-time, incl. work later wasted
-        useful_time = 0.0  # service of completed jobs only
-        wasted_time = 0.0
-        t = 0.0
-        queue_series: List[Tuple[float, int]] = []
-        completions: List[Tuple[float, int]] = []
-        completed = 0
-        dropped = 0
-        shed = 0
-        failures = 0
-        retries = 0
-        started = 0
-        attempts: Dict[int, int] = {}
-        tenant_waits: Dict[str, List[float]] = {}
-        tenant_turnarounds: Dict[str, List[float]] = {}
-        tenant_completed: Dict[str, int] = {}
-        tenant_completed_service: Dict[str, float] = {}
-        tenant_shed: Dict[str, int] = {}
-        inf = float("inf")
-        next_fault = (
-            fault_injector.next_fault_after(0.0)
-            if fault_injector is not None else inf
-        )
 
-        def start_ready(now: float) -> None:
-            nonlocal started
-            while len(queue) and len(running) < self.n_gpus:
-                free = self.n_gpus - len(running)
-                batch = queue.select_starts(
-                    free, [j for _, _, j, _ in running]
-                )
-                if not batch:
-                    break
-                for job in batch:
-                    waits.append(now - job.arrival)
-                    turnarounds.append(now - job.arrival + job.service)
-                    if job.tenant is not None:
-                        tenant_waits.setdefault(job.tenant, []).append(
-                            now - job.arrival
-                        )
-                        tenant_turnarounds.setdefault(
-                            job.tenant, []
-                        ).append(now - job.arrival + job.service)
-                    heapq.heappush(
-                        running,
-                        (now + job.service, job.job_id, job, now),
-                    )
-                    started += 1
-
-        def enqueue(job: Job, now: float) -> bool:
-            """Admission-gated queue push; returns False when shed."""
-            nonlocal shed
-            if admission is not None and not admission.admit(
-                job, now=now, queue_len=len(queue),
-                n_running=len(running), n_gpus=self.n_gpus,
-            ):
-                shed += 1
-                if job.tenant is not None:
-                    tenant_shed[job.tenant] = (
-                        tenant_shed.get(job.tenant, 0) + 1
-                    )
-                return False
-            queue.push(job)
-            return True
-
-        events = 0
-        while completed + dropped + shed < n:
-            events += 1
-            # next event: arrival, re-queue, completion, or fault
-            t_arr = (
-                arrivals[next_arrival][0]
-                if next_arrival < len(arrivals) else inf
-            )
-            t_req = requeues[0][0] if requeues else inf
-            t_fin = running[0][0] if running else inf
-            t_fault = next_fault if fault_injector is not None else inf
-            t_work = min(t_arr, t_req, t_fin)
-            if t_work == inf:
-                # Only fault events (or nothing) remain: the policy is
-                # refusing to start the leftover queue, so no further
-                # progress is possible.
-                break
-            t_next = min(t_work, t_fault)
-            if horizon is not None and t_next > horizon:
-                t = horizon
-                break
-            t = t_next
-            if t_fin <= t_next and running:
-                finish, _, job, start = heapq.heappop(running)
-                completed += 1
-                completions.append((t, job.job_id))
-                busy_time += finish - start
-                useful_time += job.service
-                if job.tenant is not None:
-                    tenant_completed[job.tenant] = (
-                        tenant_completed.get(job.tenant, 0) + 1
-                    )
-                    tenant_completed_service[job.tenant] = (
-                        tenant_completed_service.get(job.tenant, 0.0)
-                        + job.service
-                    )
-                if admission is not None:
-                    admission.record_success(t, job=job)
-            elif t_fault <= t_next and fault_injector is not None:
-                next_fault = fault_injector.next_fault_after(t)
-                if running:
-                    victim = fault_injector.pick_victim(len(running))
-                    _, job_id, job, start = running.pop(victim)
-                    heapq.heapify(running)
-                    failures += 1
-                    lost = t - start
-                    busy_time += lost
-                    wasted_time += lost
-                    if admission is not None:
-                        admission.record_failure(t, job=job)
-                    attempt = attempts.get(job_id, 0) + 1
-                    attempts[job_id] = attempt
-                    delay = (
-                        0.0 if retry_policy is None
-                        else retry_policy.requeue_delay(attempt)
-                    )
-                    if delay is None:
-                        dropped += 1
-                    else:
-                        retries += 1
-                        requeue_seq += 1
-                        heapq.heappush(requeues, (
-                            t + delay, requeue_seq,
-                            replace(job, arrival=t + delay),
-                        ))
-            else:
-                while (
-                    next_arrival < len(arrivals)
-                    and arrivals[next_arrival][0] <= t
-                ):
-                    enqueue(arrivals[next_arrival][2], t)
-                    next_arrival += 1
-                while requeues and requeues[0][0] <= t:
-                    enqueue(heapq.heappop(requeues)[2], t)
-            start_ready(t)
-            queue_series.append((t, len(queue)))
-
-        makespan = t
-        # attempts still on a GPU delivered occupancy up to the clock stop
-        for finish, _, job, start in running:
-            busy_time += max(0.0, min(finish, makespan) - start)
-        capacity = self.n_gpus * makespan
-        util = busy_time / capacity if makespan > 0 else 0.0
-        goodput = useful_time / capacity if makespan > 0 else 0.0
-        # batched observability: one add per metric per run, never
-        # per event (the disabled-overhead contract of repro.obs)
-        _metrics.counter("sched.runs").add()
-        _metrics.counter("sched.events_processed").add(events)
-        _metrics.counter("sched.jobs_started").add(started)
-        _metrics.counter("sched.jobs_completed").add(completed)
-        if failures:
-            _metrics.counter("sched.faults_injected").add(failures)
-        if shed:
-            _metrics.counter("sched.jobs_shed").add(shed)
-        return SimResult(
-            makespan=makespan,
-            utilization=min(util, 1.0),
-            mean_wait=float(np.mean(waits)) if waits else 0.0,
-            max_wait=float(np.max(waits)) if waits else 0.0,
-            mean_turnaround=(
-                float(np.mean(turnarounds)) if turnarounds else 0.0
-            ),
-            completed=completed,
-            started=started,
-            in_flight=len(running),
-            failures=failures,
-            retries=retries,
-            dropped=dropped,
-            shed=shed,
-            wasted_time=wasted_time,
-            goodput=min(goodput, 1.0),
-            queue_series=queue_series,
-            waits=waits,
-            turnarounds=turnarounds,
-            completions=completions,
-            tenant_waits=tenant_waits,
-            tenant_turnarounds=tenant_turnarounds,
-            tenant_completed=tenant_completed,
-            tenant_completed_service=tenant_completed_service,
-            tenant_shed=tenant_shed,
-        )
+def _rewind(owners, states) -> None:
+    for owner, state in zip(owners, states):
+        if state is not None:
+            owner.restore_state(state)

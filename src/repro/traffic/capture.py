@@ -55,9 +55,8 @@ class CaptureTap:
     ``sync=True`` every frame is encoded, written, and fsynced
     immediately (per-frame durability, the incident-recorder
     contract).  ``decisions=False`` records only the job stream — the
-    instance publishes ``on_decision = None`` so the session's
-    bound-method cache skips the hook entirely instead of paying a
-    no-op call per event.
+    instance publishes ``on_decision = None`` so the session's hoisted
+    hooks skip it entirely instead of paying a no-op call per event.
     """
 
     def __init__(

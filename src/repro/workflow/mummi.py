@@ -24,7 +24,7 @@ from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.par import Backend, ShmStage, get_backend, map_fanout
 from repro.sched.policies import Fcfs
-from repro.sched.simulator import ClusterSimulator, Job
+from repro.sched.simulator import ClusterSimulator, Job, checkpoint_of
 from repro.util.rng import make_rng
 
 
@@ -367,8 +367,9 @@ class MummiCampaign:
         """Snapshot the full campaign: macro field, both RNG streams,
         the explored/novelty history, accounting, and the fault
         injector's stream (so a restart replays the same downstream
-        fault schedule)."""
-        return {
+        fault schedule) — plus a ``"retry"`` entry when the retry
+        policy draws jitter from an RNG."""
+        state = {
             "field": self.macro.field.copy(),
             "macro_rng": copy.deepcopy(self.macro.rng.bit_generator.state),
             "rng": copy.deepcopy(self.rng.bit_generator.state),
@@ -408,6 +409,10 @@ class MummiCampaign:
                 else self.ladder.checkpoint_state()
             ),
         }
+        retry = checkpoint_of(self.retry_policy)
+        if retry is not None:
+            state["retry"] = retry
+        return state
 
     def restore_state(self, state: Dict[str, Any]) -> None:
         self.macro.field = state["field"].copy()
@@ -444,6 +449,8 @@ class MummiCampaign:
             self.admission.restore_state(state["admission"])
         if self.ladder is not None and state.get("ladder") is not None:
             self.ladder.restore_state(state["ladder"])
+        if "retry" in state:
+            self.retry_policy.restore_state(state["retry"])
 
     #: composition values live in O(1) territory; anything near this
     #: bound can only come from corrupted state

@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.durable import (
     DurableStore,
@@ -24,7 +25,7 @@ from repro.durable import (
     run_chaos,
     state_mismatches,
 )
-from repro.durable.wal import MAGIC
+from repro.durable.wal import MAGIC, read_records
 from repro.obs import metrics as metrics_mod
 from repro.par import (
     PoisonTaskError,
@@ -168,6 +169,35 @@ class TestWriteAheadLog:
         wal.close()
         with pytest.raises(RuntimeError):
             wal.append(b"x")
+
+    def test_bit_rotted_length_ends_prefix_without_allocating(
+        self, tmp_path
+    ):
+        """A length field whose high byte rotted to 0x7F declares a
+        ~2 GiB frame: both scans must stop at the frame before it
+        instead of asking ``read`` for the declared length."""
+        import tracemalloc
+
+        path = tmp_path / "rot.wal"
+        with WriteAheadLog(path, sync=False) as wal:
+            for k in range(3):
+                wal.append(bytes([k]) * 100)
+        assert path.stat().st_size == 332
+        raw = bytearray(path.read_bytes())
+        raw[len(MAGIC) + 108] = 0x7F  # second frame's length, high byte
+        path.write_bytes(bytes(raw))
+        tracemalloc.start()
+        try:
+            assert list(read_records(path)) == [bytes(100)]
+            with WriteAheadLog(path, sync=False) as wal:
+                assert wal.records_on_open == 1
+                assert wal.truncated_bytes == 332 - 116
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert path.stat().st_size == 116
+        assert list(read_records(path)) == [bytes(100)]
 
 
 # -------------------------------------------------------------------------
@@ -386,32 +416,197 @@ class TestResumableCampaign:
 
 
 # -------------------------------------------------------------------------
-# SimulatorSession: the checkpointable twin of the batch engine
+# SimulatorSession: the scheduler's one event loop, cut and resumed
 # -------------------------------------------------------------------------
+
+
+def _session_jobs(n_jobs=200, seed=3):
+    """A batch workload with tenant tags and deadlines on two thirds of
+    it, so admission, tenancy accounting and sheds all fire."""
+    from dataclasses import replace
+
+    from repro.sched import batch_workload
+
+    return [
+        replace(
+            job, tenant=("alpha", "beta", "gamma")[job.job_id % 3],
+            priority=job.job_id % 4,
+            deadline=(
+                None if job.job_id % 3 == 0
+                else job.arrival + 3.0 * job.service + 50.0
+            ),
+        )
+        for job in batch_workload(n_jobs=n_jobs, seed=seed)
+    ]
+
+
+def _make_admission(kind):
+    from repro.guard.deadline import AdmissionController, CircuitBreaker
+    from repro.tenant import TenancySpec, TenantSpec
+
+    if kind is None:
+        return None
+    if kind == "breaker":
+        return AdmissionController(
+            max_queue=12, protect_priority=2,
+            breaker=CircuitBreaker(failure_threshold=2, recovery_time=30.0),
+        )
+    return TenancySpec(
+        tenants=tuple(
+            TenantSpec(name=name, weight=w, protect_priority=2,
+                       max_queue=8, breaker_failure_threshold=2,
+                       breaker_recovery_time=30.0)
+            for name, w in (("alpha", 1.0), ("beta", 2.0), ("gamma", 1.0))
+        ),
+        window=40.0, arbiter_enabled=(kind == "tenancy"),
+    ).make()
+
+
+def _build_session(engine="auto", fault=True, admission="breaker", seed=2,
+                   jobs=None):
+    """A session with chaos, a jittered backoff and *admission*; the
+    *seed* feeds both RNG streams (injector and retry jitter)."""
+    from repro.resilience import ExponentialBackoff, FaultInjector
+    from repro.sched import ClusterSimulator, SjfWithQuota
+
+    return ClusterSimulator(8).session(
+        _session_jobs() if jobs is None else jobs, SjfWithQuota(8),
+        fault_injector=FaultInjector(mtbf=40.0, seed=seed) if fault else None,
+        retry_policy=(
+            ExponentialBackoff(base=1.0, jitter=0.5, max_retries=3,
+                               rng=np.random.default_rng(seed))
+            if fault else None
+        ),
+        engine=engine, admission=_make_admission(admission),
+    )
 
 
 class TestSimulatorSession:
     @pytest.mark.parametrize("engine", ["reference", "fast"])
     @pytest.mark.parametrize("fault", [False, True])
     def test_session_equals_batch(self, engine, fault):
-        from repro.resilience import FaultInjector, ImmediateRetry
-        from repro.sched import ClusterSimulator, SjfWithQuota, batch_workload
+        """One event per call (``step()`` until False) equals one
+        ``advance()``: a scalar the loop fails to write back at a
+        budget stop would make the stepped run diverge."""
+        for admission in (None, "breaker", "tenancy", "tenancy-off"):
+            stepped = _build_session(engine, fault, admission)
+            while stepped.step():
+                pass
+            whole = _build_session(engine, fault, admission)
+            whole.advance()
+            assert stepped.result() == whole.result(), admission
+            # the registry's flight recorder snapshots process-global
+            # counters, so only the loop's own state is compared
+            loop_state = [s.checkpoint_state() for s in (stepped, whole)]
+            for state in loop_state:
+                del state["admission"]
+            assert loop_state[0] == loop_state[1]
+            assert stepped.done and whole.done
+            assert stepped.advance() == 0 and not stepped.step()
 
-        sim = ClusterSimulator(8)
-        jobs = batch_workload(n_jobs=200, seed=3)
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(min_value=0, max_value=700),
+           admission=st.sampled_from(["breaker", "tenancy", "tenancy-off"]))
+    def test_cut_anywhere_resumes_bit_exact(self, k, admission):
+        """``advance(k)``, pickle the checkpoint, restore into a fresh
+        *differently seeded* session, ``advance()``: the result equals
+        the uninterrupted run — chaos, jittered retries, breakers and
+        the tenancy registry included."""
+        ref = _build_session(admission=admission).run_to_completion()
+        cut = _build_session(admission=admission)
+        cut.advance(k)
+        blob = pickle.dumps(cut.checkpoint_state())
+        resumed = _build_session(admission=admission, seed=999)
+        resumed.restore_state(pickle.loads(blob))
+        resumed.advance()
+        assert resumed.result() == ref
+        assert ref.retries > 0 and ref.shed > 0
 
-        def kw():
-            return dict(
-                fault_injector=(
-                    FaultInjector(mtbf=80.0, seed=5) if fault else None
+    @pytest.mark.parametrize("k", [1, 37, 250])
+    def test_streamed_capture_cut_writes_same_bytes(self, tmp_path, k):
+        from repro.resilience import FaultInjector
+        from repro.sched import Fcfs
+        from repro.sched.simulator import SimulatorSession
+        from repro.traffic import CaptureTap, PoissonArrivals, UserPopulation
+
+        def capture(path, budgets):
+            population = UserPopulation(n_users=5_000, seed=4,
+                                        mean_service=10.0,
+                                        best_effort_fraction=0.3)
+            tap = CaptureTap(path, meta={"case": "cut"})
+            session = SimulatorSession(
+                3, None, Fcfs(), horizon=300.0,
+                fault_injector=FaultInjector(mtbf=50.0, seed=1),
+                admission=_make_admission("breaker"),
+                stream=population.stream_jobs(
+                    PoissonArrivals(rate=0.3).stream(5)
                 ),
-                retry_policy=ImmediateRetry() if fault else None,
-                engine=engine,
+                tap=tap,
             )
+            for budget in budgets:
+                session.advance(budget)
+            assert session.done
+            tap.seal({"completed": session.completed})
+            tap.close()
+            return path.read_bytes()
 
-        ref = sim.run(jobs, SjfWithQuota(8), **kw())
-        ses = sim.session(jobs, SjfWithQuota(8), **kw())
-        assert ses.run_to_completion() == ref
+        whole = capture(tmp_path / "whole.trace", [None])
+        assert capture(tmp_path / "cut.trace", [k, None]) == whole
+
+    def test_golden_schedule(self):
+        """A hand-written schedule that needs no NumPy stream: 12 jobs
+        on 3 GPUs, a breaker-armed admission controller, and scripted
+        fault times and victims.  Every time is an exact binary
+        fraction, so the pinned values hold on any platform; with no
+        second event loop to compare against, they are the guard
+        against semantic drift (event order, shed reasons, breaker,
+        retry cap)."""
+        from repro.guard.deadline import AdmissionController, CircuitBreaker
+        from repro.resilience import CappedRetry
+        from repro.sched import ClusterSimulator, Fcfs
+        from repro.sched.simulator import Job
+
+        spec = [  # job_id, arrival, service, priority, deadline
+            (0, 0.0, 4.0, 2, None), (1, 0.0, 3.0, 0, None),
+            (2, 0.5, 2.0, 1, 6.0), (3, 1.0, 5.0, 0, 12.0),
+            (4, 1.0, 1.0, 2, None), (5, 2.0, 2.5, 0, 5.0),
+            (6, 2.5, 3.0, 1, None), (7, 2.875, 1.5, 0, None),
+            (8, 4.0, 2.0, 2, 20.0), (9, 5.0, 4.0, 0, None),
+            (10, 6.0, 1.0, 1, 9.0), (11, 6.5, 2.0, 0, None),
+        ]
+        jobs = [Job(job_id=j, arrival=a, service=s, priority=p, deadline=d)
+                for j, a, s, p, d in spec]
+        admission = AdmissionController(
+            max_queue=2, protect_priority=1,
+            breaker=CircuitBreaker(failure_threshold=2, recovery_time=4.0),
+        )
+        result = ClusterSimulator(3).run(
+            jobs, Fcfs(),
+            fault_injector=_ScriptedFaults([1.5, 2.75, 3.25, 7.0, 9.5],
+                                           [0, 0, 1, 0, 0]),
+            retry_policy=CappedRetry(max_retries=1, delay=0.5),
+            admission=admission,
+        )
+        assert result.completions == [
+            (3.75, 4), (4.0, 0), (5.25, 2), (6.75, 6), (8.0, 10),
+            (9.0, 3), (10.75, 9),
+        ]
+        assert list(admission.shed_log) == [
+            (5, "deadline_backlog"), (7, "queue_saturated"),
+            (1, "breaker_open"), (11, "queue_saturated"),
+        ]
+        assert result.queue_series == [
+            (0.0, 0), (0.5, 0), (1.0, 2), (1.5, 1), (2.0, 2), (2.5, 3),
+            (2.75, 2), (2.875, 2), (3.25, 1), (3.25, 1), (3.75, 0),
+            (3.75, 1), (4.0, 0), (4.0, 1), (5.0, 2), (5.25, 1), (6.0, 2),
+            (6.5, 2), (6.75, 1), (7.0, 0), (7.5, 1), (8.0, 0), (9.0, 0),
+            (9.5, 0), (10.75, 0),
+        ]
+        assert (result.completed, result.started, result.failures,
+                result.retries, result.dropped, result.shed) == \
+            (7, 12, 5, 4, 1, 4)
+        assert (result.makespan, result.wasted_time) == (10.75, 8.75)
+        assert admission.breaker.trips == 1
 
     def test_checkpoint_resume_is_bit_exact(self):
         from repro.resilience import FaultInjector, ImmediateRetry
@@ -436,6 +631,8 @@ class TestSimulatorSession:
         s2 = build(999)
         s2.restore_state(pickle.loads(blob))
         assert s2.run_to_completion() == ref
+        # stateless retry policies add no checkpoint entry
+        assert "retry" not in s1.checkpoint_state()
 
     def test_session_under_durable_store(self, tmp_path):
         from repro.sched import ClusterSimulator, Fcfs, batch_workload
@@ -450,6 +647,33 @@ class TestSimulatorSession:
                               journal_every=10).run()
             assert ses.done
             assert ses.result() == ref
+
+
+class _ScriptedFaults:
+    """Fault injector stub with fixed fault times and victim indices."""
+
+    def __init__(self, times, victims):
+        self.times, self.victims = list(times), list(victims)
+        self.next_time = self.next_victim = 0
+
+    def next_fault_after(self, t):
+        while self.next_time < len(self.times) \
+                and self.times[self.next_time] <= t:
+            self.next_time += 1
+        if self.next_time == len(self.times):
+            return float("inf")
+        return self.times[self.next_time]
+
+    def pick_victim(self, n):
+        victim = self.victims[self.next_victim] % n
+        self.next_victim += 1
+        return victim
+
+    def checkpoint_state(self):
+        return {"time": self.next_time, "victim": self.next_victim}
+
+    def restore_state(self, state):
+        self.next_time, self.next_victim = state["time"], state["victim"]
 
 
 # -------------------------------------------------------------------------

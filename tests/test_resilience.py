@@ -2,6 +2,9 @@
 policies, scheduler-level recovery, and checkpoint/restart with ABFT
 across the PCG/AMG solvers, ddcMD, and the MuMMI campaign."""
 
+import pickle
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -337,6 +340,91 @@ class TestDdcmdRecovery:
         assert rep.sdc_injected > 0
         assert rep.sdc_detected == rep.sdc_injected
         assert np.array_equal(ref.system.x, sim.system.x)
+
+
+class TestJitteredRetryRewind:
+    """A jittered ExponentialBackoff draws from its own Generator on
+    every re-queue, so that Generator is event-loop state: checkpoints
+    must save it and validate mode must rewind it."""
+
+    JOBS = batch_workload(n_jobs=120, seed=3)
+
+    @staticmethod
+    def _policy(seed=7):
+        return ExponentialBackoff(base=1, jitter=0.5,
+                                  rng=np.random.default_rng(seed))
+
+    def _session(self, seed=5, retry_seed=7):
+        return ClusterSimulator(4).session(
+            self.JOBS, Fcfs(),
+            fault_injector=FaultInjector(mtbf=40, seed=seed),
+            retry_policy=self._policy(retry_seed),
+        )
+
+    @pytest.mark.parametrize("cut,retries_before", [(60, 2), (100, 6)])
+    def test_session_checkpoint_restores_jitter(self, cut, retries_before):
+        ref = self._session().run_to_completion()
+        session = self._session()
+        session.advance(cut)
+        assert session.retries == retries_before
+        blob = pickle.dumps(session.checkpoint_state())
+        resumed = self._session(seed=99, retry_seed=99)
+        resumed.restore_state(pickle.loads(blob))
+        assert resumed.run_to_completion() == ref
+
+    def _run(self, rng):
+        policy = ExponentialBackoff(base=1, jitter=0.5, rng=rng)
+        return ClusterSimulator(4).run(
+            self.JOBS, Fcfs(),
+            fault_injector=FaultInjector(mtbf=40, seed=5),
+            retry_policy=policy,
+        )
+
+    def test_strict_validate_mode_rewinds_jitter(self, monkeypatch):
+        plain = self._run(np.random.default_rng(7))
+        monkeypatch.setenv("REPRO_OBS_VALIDATE", "1")
+        assert self._run(np.random.default_rng(7)) == plain
+
+    def test_record_mode_advances_caller_rng_once(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        self._run(rng)
+        expected = rng.uniform(-1, 1)
+        monkeypatch.setenv("REPRO_OBS_VALIDATE", "record")
+        rng = np.random.default_rng(7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no divergence warning
+            self._run(rng)
+        assert rng.uniform(-1, 1) == expected
+
+    def test_campaign_checkpoint_restores_jitter(self):
+        def campaign():
+            return MummiCampaign(
+                n_gpus=8, jobs_per_cycle=16, seed=0,
+                fault_injector=FaultInjector(mtbf=20.0, seed=3),
+                retry_policy=self._policy(),
+            )
+
+        ref = campaign()
+        ref.run(4)
+        camp = campaign()
+        camp.run(2)
+        ck = camp.checkpoint_state()
+        camp.run(2)  # work a crash will destroy, jitter draws included
+        camp.restore_state(ck)
+        camp.run(2)
+        assert camp.job_retries == ref.job_retries > 0
+        assert camp.wall_time == ref.wall_time
+        assert camp.wasted_gpu_hours == ref.wasted_gpu_hours
+
+    def test_stateless_policies_add_no_checkpoint_entry(self):
+        assert ExponentialBackoff().checkpoint_state() is None
+        assert "retry" in MummiCampaign(
+            n_gpus=8, jobs_per_cycle=8, seed=0, retry_policy=self._policy()
+        ).checkpoint_state()
+        for policy in (None, ImmediateRetry(), ExponentialBackoff()):
+            camp = MummiCampaign(n_gpus=8, jobs_per_cycle=8, seed=0,
+                                 retry_policy=policy)
+            assert "retry" not in camp.checkpoint_state()
 
 
 class TestCampaignRecovery:

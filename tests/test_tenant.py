@@ -416,14 +416,22 @@ def _accounting_tenancy():
 
 class TestPerTenantAccounting:
     def test_batch_and_stepwise_engines_bit_identical(self):
+        """One loop, three drives — ``ClusterSimulator.run``, chunks
+        of ``advance(7)``, and ``step()`` one event at a time — agree
+        on every field, per-tenant accounting included."""
         jobs = _tenant_jobs()
         spec = _accounting_tenancy()
         batch = ClusterSimulator(3).run(jobs, Fcfs(),
                                         admission=spec.make())
-        session = SimulatorSession(3, jobs, Fcfs(),
-                                   admission=spec.make())
-        stepwise = session.run_to_completion()
-        assert batch == stepwise  # dataclass ==: every field, exactly
+        chunked = SimulatorSession(3, jobs, Fcfs(), admission=spec.make())
+        while chunked.advance(7):
+            pass
+        stepped = SimulatorSession(3, jobs, Fcfs(), admission=spec.make())
+        while stepped.step():
+            pass
+        # dataclass ==: every field, exactly
+        assert chunked.result() == batch == stepped.result()
+        assert batch.tenant_shed and batch.tenant_completed
 
     def test_tenant_fields_populated_and_consistent(self):
         jobs = _tenant_jobs()
