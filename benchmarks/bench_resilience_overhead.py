@@ -8,9 +8,13 @@ campaign can rely on it:
    stay well under 10% of the plain solve's wall time, or nobody turns
    it on.
 2. How does scheduler goodput (useful GPU-time over capacity) degrade
-   as the machine's MTBF shrinks?  It must fall monotonically — if a
-   less-reliable machine ever scores higher goodput, the failure
-   accounting is broken.
+   as the machine's MTBF shrinks?  *Expected* goodput must fall
+   monotonically — if a less-reliable machine scores higher goodput on
+   average, the failure accounting is broken.  A single fault draw can
+   still raise it: list scheduling is not monotone, so killing and
+   re-running one job can shorten the makespan (Graham's anomalies).
+   The claim is therefore measured as a mean over fault seeds declared
+   up front, and one such anomaly is kept as a documented row.
 """
 
 import time
@@ -33,6 +37,16 @@ NO_FAULTS_MTBF = 1e12
 #: MTBF settings (seconds of simulated time) from effectively
 #: fault-free down to one fault every ~50 s of cluster time
 MTBF_SETTINGS = (1e9, 200.0, 50.0)
+
+#: fault-injector seeds the goodput claim averages over, fixed before
+#: any result was looked at (every seed counts, none is dropped)
+FAULT_SEEDS = tuple(range(20))
+
+#: the documented anomaly: at MTBF 200, fault seed 1 injects one fault,
+#: the re-run reorders the FCFS list schedule, and the makespan falls
+#: from 272.76 to 269.73 — same useful work over a shorter window, so
+#: goodput rises from 0.8905 (fault-free) to 0.9005
+ANOMALY = {"mtbf_s": 200.0, "fault_seed": 1}
 
 
 def _solver(n=100):
@@ -80,23 +94,42 @@ def overhead_study(repeats=15):
     ]
 
 
-def goodput_study():
+def _goodput_run(jobs, mtbf, fault_seed):
+    injector = FaultInjector(mtbf=mtbf, seed=fault_seed)
+    return ClusterSimulator(8).run(jobs, Fcfs(), fault_injector=injector)
+
+
+def goodput_study(fault_seeds=FAULT_SEEDS):
     """Scheduler goodput across MTBF settings (200-job batch, 8 GPUs,
-    immediate retry — the MuMMI campaign's configuration)."""
+    immediate retry — the MuMMI campaign's configuration), averaged
+    over *fault_seeds*; the last row is the :data:`ANOMALY` run."""
     jobs = batch_workload(n_jobs=200, seed=0)
     rows = []
     for mtbf in MTBF_SETTINGS:
-        injector = FaultInjector(mtbf=mtbf, seed=1)
-        result = ClusterSimulator(8).run(jobs, Fcfs(),
-                                         fault_injector=injector)
+        results = [_goodput_run(jobs, mtbf, s) for s in fault_seeds]
         rows.append({
             "mtbf_s": mtbf,
-            "failures": result.failures,
-            "retries": result.retries,
-            "wasted_h": result.wasted_time / 3600.0,
-            "utilization": result.utilization,
-            "goodput": result.goodput,
+            "fault_seeds": f"{fault_seeds[0]}-{fault_seeds[-1]} (mean)",
+            "failures": float(np.mean([r.failures for r in results])),
+            "retries": float(np.mean([r.retries for r in results])),
+            "wasted_h": float(np.mean([r.wasted_time for r in results]))
+            / 3600.0,
+            "utilization": float(np.mean([r.utilization
+                                          for r in results])),
+            "goodput": float(np.mean([r.goodput for r in results])),
+            "makespan": float(np.mean([r.makespan for r in results])),
         })
+    r = _goodput_run(jobs, ANOMALY["mtbf_s"], ANOMALY["fault_seed"])
+    rows.append({
+        "mtbf_s": ANOMALY["mtbf_s"],
+        "fault_seeds": f"{ANOMALY['fault_seed']} (anomaly)",
+        "failures": r.failures,
+        "retries": r.retries,
+        "wasted_h": r.wasted_time / 3600.0,
+        "utilization": r.utilization,
+        "goodput": r.goodput,
+        "makespan": r.makespan,
+    })
     return rows
 
 
@@ -113,15 +146,17 @@ def make_tables(overhead_rows, goodput_rows):
                    round(r["overhead_pct"], 1))
 
     t2 = Table(
-        ["MTBF (s)", "failures", "retries", "wasted GPU-h",
-         "utilization", "goodput"],
+        ["MTBF (s)", "fault seeds", "failures", "retries",
+         "wasted GPU-h", "utilization", "goodput", "makespan"],
         title="Goodput vs machine reliability (200-job batch on 8 "
               "GPUs, immediate retry)",
     )
     for r in goodput_rows:
-        t2.add_row(f"{r['mtbf_s']:g}", r["failures"], r["retries"],
+        t2.add_row(f"{r['mtbf_s']:g}", r["fault_seeds"],
+                   round(r["failures"], 2), round(r["retries"], 2),
                    round(r["wasted_h"], 2),
-                   round(r["utilization"], 3), round(r["goodput"], 3))
+                   round(r["utilization"], 4), round(r["goodput"], 4),
+                   round(r["makespan"], 2))
     return t1, t2
 
 
@@ -146,15 +181,21 @@ def test_checkpoint_overhead(benchmark):
 
 
 def test_goodput_degrades_with_mtbf(benchmark):
-    """Goodput falls strictly as MTBF shrinks; utilization stays
-    higher than goodput once faults waste occupied GPU time."""
+    """Mean goodput over :data:`FAULT_SEEDS` falls strictly as MTBF
+    shrinks (0.8905 > 0.8731 > 0.7015 when written); utilization stays
+    at or above goodput once faults waste occupied GPU time.  The
+    :data:`ANOMALY` row stays in the table, documented, not asserted
+    away: one fault there *raises* goodput above the fault-free run."""
     rows = benchmark.pedantic(goodput_study, rounds=1, iterations=1)
-    goodputs = [r["goodput"] for r in rows]
-    assert goodputs == sorted(goodputs, reverse=True)
-    assert goodputs[0] > goodputs[-1]
-    for r in rows[1:]:
+    means, anomaly = rows[:-1], rows[-1]
+    goodputs = [r["goodput"] for r in means]
+    assert all(a > b for a, b in zip(goodputs, goodputs[1:]))
+    for r in means[1:]:
         assert r["failures"] > 0
         assert r["utilization"] >= r["goodput"]
+    assert anomaly["failures"] == 1
+    assert anomaly["makespan"] < means[0]["makespan"]
+    assert anomaly["goodput"] > means[0]["goodput"]
 
 
 def test_sdc_detection_rate(benchmark):

@@ -29,9 +29,9 @@ reports: 1.0 when every tenant's normalized allocation is equal,
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Iterable, List, Mapping, Sequence
 
-__all__ = ["weighted_max_min", "jain_index"]
+__all__ = ["water_fill", "weighted_max_min", "jain_index"]
 
 
 def weighted_max_min(
@@ -50,6 +50,9 @@ def weighted_max_min(
       point (work conservation), and
     - every unsatisfied tenant (``share < demand``) holding the same
       ``share / weight`` water level.
+
+    The validating, name-keyed form of :func:`water_fill`, which it
+    runs over the tenants in sorted-name order.
     """
     if capacity < 0:
         raise ValueError("capacity must be nonnegative")
@@ -59,35 +62,49 @@ def weighted_max_min(
             raise ValueError(f"tenant {name!r}: negative demand")
         if name not in weights or weights[name] <= 0:
             raise ValueError(f"tenant {name!r}: weight must be positive")
-    shares = {name: 0.0 for name in names}
-    total_demand = sum(demands[name] for name in names)
-    if total_demand <= capacity:
+    shares = water_fill(
+        [demands[name] for name in names],
+        [weights[name] for name in names],
+        capacity,
+    )
+    return dict(zip(names, shares))
+
+
+def water_fill(
+    demands: Sequence[float],
+    weights: Sequence[float],
+    capacity: float,
+) -> List[float]:
+    """Weighted max-min shares over parallel *demands* / *weights*.
+
+    The unvalidated core of :func:`weighted_max_min`, for callers that
+    checked their inputs once up front (the registry's tables).  Share
+    ``i`` belongs to ``demands[i]``, and every sum runs in list order,
+    so the bits depend on the order the caller lists tenants in.
+    """
+    if sum(demands) <= capacity:
         # uncontended: everyone gets exactly what they asked for
-        for name in names:
-            shares[name] = float(demands[name])
-        return shares
+        return [float(d) for d in demands]
     # progressive filling: repeatedly satisfy every tenant whose
     # demand sits below the current water level, remove it from the
     # pool, and refill the remainder.  Each pass freezes at least one
     # tenant, so the loop runs at most n times.
+    shares = [0.0] * len(demands)
     remaining = float(capacity)
-    active = list(names)
+    active = range(len(demands))
     while active:
-        weight_sum = sum(weights[name] for name in active)
-        water = remaining / weight_sum
-        frozen = [
-            name for name in active if demands[name] <= water * weights[name]
-        ]
+        water = remaining / sum([weights[i] for i in active])
+        frozen = [i for i in active if demands[i] <= water * weights[i]]
         if not frozen:
             # every active tenant is demand-constrained by the water
             # level: final proportional split
-            for name in active:
-                shares[name] = water * weights[name]
+            for i in active:
+                shares[i] = water * weights[i]
             break
-        for name in frozen:
-            shares[name] = float(demands[name])
-            remaining -= demands[name]
-        active = [name for name in active if name not in frozen]
+        for i in frozen:
+            shares[i] = float(demands[i])
+            remaining -= demands[i]
+        active = [i for i in active if i not in frozen]
     return shares
 
 

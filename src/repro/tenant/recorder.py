@@ -9,8 +9,10 @@ header carrying the driver description (tenancy included), the ring
 contents, the ``guard.*`` counter deltas, and the run's replay
 fingerprint.  The file is a plain
 :class:`~repro.traffic.trace.TrafficTrace` in
-:class:`~repro.durable.wal.WriteAheadLog` framing (``sync=True``:
-incidents must survive the machine, not just the process), so
+:class:`~repro.durable.wal.WriteAheadLog` framing, written with
+``sync=True`` because incidents must survive the machine, not just
+the process: the whole job stream goes out as one fsynced group
+commit, then the sealed trailer with its own fsync.  So
 
 - ``python -m repro.traffic`` replays it bit-exactly for post-mortem
   A/B against alternate tenant configs,
@@ -88,7 +90,8 @@ class FlightRecorder:
         reason: str = "overload",
         extra: Optional[Dict[str, Any]] = None,
     ) -> TrafficTrace:
-        """Write the WAL-framed incident trace (fsync per frame)."""
+        """Write the WAL-framed incident trace: the jobs in one fsynced
+        group commit, then the sealed trailer with its own fsync."""
         incident = self.summary(reason)
         if extra:
             incident.update(extra)
@@ -164,21 +167,28 @@ def replay_incident(
     (post-crash triage) — the fingerprint check then only makes sense
     against a fresh replay, not the recorded one.
     """
+    trace = TrafficTrace.load(path, strict=strict)
+    return _replay(trace), trace
+
+
+def _replay(trace: TrafficTrace):
+    """Run *trace*'s jobs through a driver rebuilt from its header."""
     from repro.traffic.driver import OpenLoopDriver
 
-    trace = TrafficTrace.load(path, strict=strict)
     driver = OpenLoopDriver.from_description(trace.meta["driver"])
     report = driver.run(trace.jobs)
     _metrics.counter("tenant.incidents_replayed").add()
-    return report, trace
+    return report
 
 
 def verify_incident(path: Union[str, Path]):
-    """Replay *path* twice; demand both fingerprints match each other
-    **and** the fingerprint recorded at dump time.  Returns the replay
-    report; raises ``AssertionError`` on any divergence."""
-    first, trace = replay_incident(path)
-    second, _ = replay_incident(path)
+    """Load *path* once and replay it twice, each time through a fresh
+    driver; demand both fingerprints match each other **and** the
+    fingerprint recorded at dump time.  Returns the replay report;
+    raises ``AssertionError`` on any divergence."""
+    trace = TrafficTrace.load(path)
+    first = _replay(trace)
+    second = _replay(trace)
     if first.fingerprint() != second.fingerprint():
         raise AssertionError(
             f"{path}: incident replay diverged from itself — "

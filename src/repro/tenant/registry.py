@@ -11,7 +11,8 @@ decision through per-tenant state:
   priority) and optionally a private breaker;
 - per-tenant offered and admitted service rates are measured over a
   sliding window, feeding the weighted max-min arbiter
-  (:func:`repro.tenant.arbiter.weighted_max_min`);
+  (:func:`repro.tenant.arbiter.water_fill`, over tenant tables the
+  constructor sorts once);
 - a tenant offering more than its fair share is a **violator**: its
   excess arrivals are clipped (shed ``fair_share``) and its brownout
   ladder escalates.  While any violator is above fair share, the
@@ -31,7 +32,7 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.obs import metrics as _metrics
-from repro.tenant.arbiter import jain_index, weighted_max_min
+from repro.tenant.arbiter import jain_index, water_fill
 from repro.tenant.brownout import BrownoutLadder
 from repro.tenant.recorder import FlightRecorder
 from repro.tenant.spec import TenancySpec
@@ -46,6 +47,18 @@ PRESSURE_REASONS = frozenset(
 )
 
 _EPS = 1e-9
+
+
+def _trimmed_total(window: Deque[Tuple[float, float]], total: float,
+                   cutoff: float) -> float:
+    """Pop *window*'s entries older than *cutoff*; return its total."""
+    while window and window[0][0] < cutoff:
+        total -= window.popleft()[1]
+    # running subtraction drifts; an emptied window is exactly zero,
+    # and near-zero negatives are FP residue, not demand
+    if not window or total < 0.0:
+        total = max(0.0, sum(svc for _, svc in window))
+    return total
 
 
 class _TenantState:
@@ -75,6 +88,13 @@ class TenantRegistry:
     #: introspect ``admission.breaker`` — the registry has one breaker
     #: *per tenant* instead (see :meth:`breaker_states`)
     breaker = None
+    #: arbiter tables — sorted tenant names, their states and weights,
+    #: name -> index — built once by :meth:`_arbiter_tables`: in the
+    #: constructor with the arbiter on, never on the disabled fast path
+    _tables = None
+    #: ``(tenant, reason, shares, violators, rung)`` behind the most
+    #: recent admit(); :attr:`last_decision` expands it on demand
+    _last = None
 
     def __init__(self, spec: TenancySpec):
         self.spec = spec
@@ -97,14 +117,42 @@ class TenantRegistry:
         )
         self.shed_count = 0
         self.admitted = 0
-        #: introspection: the full arbiter picture behind the most
-        #: recent admit() call (tests and the CLI read this)
-        self.last_decision: Optional[Dict[str, Any]] = None
         #: anonymous-admit cell shared with the disabled fast path;
         #: ``None`` means per-job counting goes through ``admitted``
         self._fast_anon: Optional[list] = None
-        if not self.arbiter_enabled:
+        if self.arbiter_enabled:
+            self._arbiter_tables()
+        else:
             self._bind_disabled_fast_path()
+
+    def _arbiter_tables(self) -> tuple:
+        """``(names, states, weights, index)`` in sorted-name order.
+
+        Every arbiter sum runs in this order (the order
+        :func:`~repro.tenant.arbiter.weighted_max_min` sorts into), so
+        the fills are bit-identical to the validating dict form.  The
+        weights were checked positive by :class:`TenantSpec`.
+        """
+        if self._tables is None:
+            names = sorted(self._tenants)
+            states = [self._tenants[name] for name in names]
+            self._tables = (
+                names, states, [s.spec.weight for s in states],
+                {name: i for i, name in enumerate(names)},
+            )
+        return self._tables
+
+    @property
+    def last_decision(self) -> Optional[Dict[str, Any]]:
+        """The full arbiter picture behind the most recent admit()
+        call (tests and the CLI read this); ``None`` before any."""
+        if self._last is None:
+            return None
+        tenant, reason, shares, violators, rung = self._last
+        if shares is not None:
+            shares = dict(zip(self._tables[0], shares))
+        return {"tenant": tenant, "reason": reason, "shares": shares,
+                "violators": list(violators), "rung": rung}
 
     def _bind_disabled_fast_path(self) -> None:
         """Rebind the per-job entry points as instance closures.
@@ -172,24 +220,22 @@ class TenantRegistry:
     # -- window arithmetic ---------------------------------------------
 
     def _expire(self, now: float) -> None:
+        """Drop window entries older than ``now - window``.
+
+        Only a window that lost entries is re-totalled: an untouched
+        window's total is already exact (adding positive service can
+        neither empty a window nor drive its total negative).
+        """
         cutoff = now - self.window
         for state in self._tenants.values():
-            while state.offered and state.offered[0][0] < cutoff:
-                _, svc = state.offered.popleft()
-                state.offered_total -= svc
-            while state.admitted and state.admitted[0][0] < cutoff:
-                _, svc = state.admitted.popleft()
-                state.admitted_total -= svc
-            # running subtraction drifts; an emptied window is exactly
-            # zero, and near-zero negatives are FP residue, not demand
-            if not state.offered or state.offered_total < 0.0:
-                state.offered_total = max(0.0, sum(
-                    svc for _, svc in state.offered
-                ))
-            if not state.admitted or state.admitted_total < 0.0:
-                state.admitted_total = max(0.0, sum(
-                    svc for _, svc in state.admitted
-                ))
+            if state.offered and state.offered[0][0] < cutoff:
+                state.offered_total = _trimmed_total(
+                    state.offered, state.offered_total, cutoff
+                )
+            if state.admitted and state.admitted[0][0] < cutoff:
+                state.admitted_total = _trimmed_total(
+                    state.admitted, state.admitted_total, cutoff
+                )
 
     def offered_rate(self, name: str, now: float) -> float:
         """Offered service rate over the sliding window.
@@ -206,17 +252,20 @@ class TenantRegistry:
         del now
         return self._tenants[name].admitted_total / self.window
 
+    def _rates(self) -> List[float]:
+        """Offered rates in table order (see :meth:`offered_rate`)."""
+        window = self.window
+        return [s.offered_total / window
+                for s in self._arbiter_tables()[1]]
+
     def fair_shares(self, n_gpus: int, now: float) -> Dict[str, float]:
         """Current weighted max-min shares of the machine's capacity
         (``n_gpus`` service-seconds per second)."""
-        demands = {
-            name: self.offered_rate(name, now) for name in self._tenants
-        }
-        weights = {
-            name: state.spec.weight
-            for name, state in self._tenants.items()
-        }
-        return weighted_max_min(demands, weights, float(n_gpus))
+        del now
+        names, _, weights, _ = self._arbiter_tables()
+        return dict(zip(
+            names, water_fill(self._rates(), weights, float(n_gpus))
+        ))
 
     def entitlement(self, name: str, now: float, n_gpus: int) -> float:
         """The share *name* would receive if it demanded the whole
@@ -231,15 +280,17 @@ class TenantRegistry:
         unsatisfied tenant's exact demand does not move the fill, so
         entitlement == share for violators).
         """
-        demands = {
-            t: self.offered_rate(t, now) for t in self._tenants
-        }
-        demands[name] = float(n_gpus)  # a share can't exceed capacity
-        weights = {
-            t: state.spec.weight
-            for t, state in self._tenants.items()
-        }
-        return weighted_max_min(demands, weights, float(n_gpus))[name]
+        del now
+        index = self._arbiter_tables()[3][name]
+        return self._entitled(self._rates(), index, n_gpus)
+
+    def _entitled(self, rates: List[float], index: int,
+                  n_gpus: int) -> float:
+        """Tenant *index*'s fill share with its own demand replaced by
+        the whole machine (a share can't exceed capacity)."""
+        demands = rates.copy()
+        demands[index] = float(n_gpus)
+        return water_fill(demands, self._tables[2], float(n_gpus))[index]
 
     # -- the admission protocol ----------------------------------------
 
@@ -293,10 +344,7 @@ class TenantRegistry:
         state.shed_counter.add()
         self.shed_count += 1
         self.shed_log.append((getattr(job, "job_id", None), reason))
-        self.last_decision = {
-            "tenant": tenant, "reason": reason,
-            "shares": None, "violators": [], "rung": "admit",
-        }
+        self._last = (tenant, reason, None, (), "admit")
         return False
 
     def _shed(self, state, job, now: float, tenant: str,
@@ -317,17 +365,19 @@ class TenantRegistry:
         base = state.controller.decide(
             job, now, queue_len, n_running, n_gpus
         )
-        shares = self.fair_shares(n_gpus, now)
+        names, _, weights, index = self._arbiter_tables()
+        rates = self._rates()
+        shares = water_fill(rates, weights, float(n_gpus))
         violators = [
-            name for name in sorted(self._tenants)
-            if self.offered_rate(name, now) > shares[name] + _EPS
+            names[i] for i, rate in enumerate(rates)
+            if rate > shares[i] + _EPS
         ]
         name = state.spec.name
-        share = shares[name]
+        i = index[name]
+        share = shares[i]
         ratio = (
             0.0 if state.offered_total <= _EPS
-            else self.offered_rate(name, now)
-            / self.entitlement(name, now, n_gpus)
+            else rates[i] / self._entitled(rates, i, n_gpus)
         )
         old_rung = state.ladder.rung
         rung = state.ladder.observe(ratio, now)
@@ -336,10 +386,10 @@ class TenantRegistry:
                 "ladder", now, tenant=name, from_rung=old_rung,
                 to_rung=rung, ratio=ratio,
             )
-        is_violator = name in violators
+        is_violator = rates[i] > share + _EPS
         reason: Optional[str] = None
         if is_violator and (
-            self.admitted_rate(name, now) + job.service / self.window
+            state.admitted_total / self.window + job.service / self.window
             > share + _EPS
         ):
             # the noisy neighbor is clipped to its fair share before
@@ -355,7 +405,7 @@ class TenantRegistry:
                 and job.deadline is None:
             reason = "brownout_defer"
         elif base is not None:
-            if base in PRESSURE_REASONS and name not in violators \
+            if base in PRESSURE_REASONS and not is_violator \
                     and violators:
                 # congestion caused by someone above fair share is not
                 # this tenant's to absorb
@@ -363,10 +413,7 @@ class TenantRegistry:
                 reason = None
             else:
                 reason = base
-        self.last_decision = {
-            "tenant": name, "reason": reason, "shares": shares,
-            "violators": violators, "rung": rung,
-        }
+        self._last = (name, reason, shares, violators, rung)
         return reason
 
     def record_success(self, now: float, job=None) -> None:

@@ -154,7 +154,8 @@ def capture_main(argv) -> int:
     ap.add_argument("--policy", default="fcfs")
     ap.add_argument("--chaos-mtbf", type=float, default=400.0)
     ap.add_argument("--sync", action="store_true",
-                    help="fsync every frame (incident-recorder mode)")
+                    help="fsync each frame as it is captured "
+                         "(per-frame durability)")
     ap.add_argument("--flush-every", type=int, default=64)
     ap.add_argument("--no-decisions", action="store_true",
                     help="capture only the job stream")

@@ -53,10 +53,13 @@ class CaptureTap:
     bench case gates the remaining streaming tax < 3% over the batch
     write-then-run path producing the same artifact.  With
     ``sync=True`` every frame is encoded, written, and fsynced
-    immediately (per-frame durability, the incident-recorder
-    contract).  ``decisions=False`` records only the job stream — the
-    instance publishes ``on_decision = None`` so the session's hoisted
-    hooks skip it entirely instead of paying a no-op call per event.
+    immediately: per-frame durability, because a live run's jobs are
+    not known in advance.  (Writers that hold the whole job list —
+    ``TrafficTrace.record``, incident dumps — group-commit it with one
+    fsync instead.)  ``decisions=False`` records only the job stream
+    — the instance publishes ``on_decision = None`` so the session's
+    hoisted hooks skip it entirely instead of paying a no-op call per
+    event.
     """
 
     def __init__(

@@ -386,8 +386,7 @@ def record_experiment(
     }
     writer = TraceWriter(path, meta=meta, n_jobs=n_jobs, sync=sync)
     try:
-        for job in jobs:
-            writer.append_job(job)
+        writer.append_jobs(jobs)
         report = driver.run(jobs)
         writer.seal(report.fingerprint())
     finally:

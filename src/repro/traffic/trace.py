@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.durable.wal import WriteAheadLog, read_records
 from repro.sched.simulator import Job
@@ -85,16 +85,21 @@ def _job_from_record(rec: Dict[str, Any]) -> Job:
 
 
 class TraceWriter:
-    """Incremental, crash-safe trace writer (live-capture mode).
+    """Incremental, crash-safe trace writer.
 
     Writes the header up front, then jobs/decisions as they happen,
     then :meth:`seal` commits the trailer.  Killing the process at any
     byte boundary leaves a loadable committed prefix: the header plus
     every flushed frame.  ``flush_every`` batches OS flushes to keep
     the tap off the simulator's hot path (a crash loses at most the
-    last ``flush_every - 1`` records); ``sync=True`` fsyncs every
-    frame — incident-recorder mode, where the trace must survive the
-    machine, not just the process.
+    last ``flush_every - 1`` records).  ``sync=True`` makes every
+    append durable before it returns, so the trace survives the
+    machine, not just the process: :meth:`append_job` and
+    :meth:`append_decision` fsync each frame (live capture), while
+    :meth:`append_jobs` group-commits a batch the caller already holds
+    with one fsync (recorded traces and incident dumps).  The trailer
+    is appended only after that fsync returns, so a sealed trace
+    implies every frame before it is durable.
     """
 
     def __init__(
@@ -129,6 +134,19 @@ class TraceWriter:
             json.dumps(_job_record(job), sort_keys=True).encode()
         )
         self.n_jobs += 1
+
+    def append_jobs(self, jobs: Iterable[Job]) -> None:
+        """Append every job in *jobs* as one group commit.
+
+        The frames are byte-identical to an :meth:`append_job` loop;
+        they reach the file in one write (one fsync with ``sync``).
+        """
+        payloads = [
+            json.dumps(_job_record(job), sort_keys=True).encode()
+            for job in jobs
+        ]
+        self._wal.append_many(payloads)
+        self.n_jobs += len(payloads)
 
     def append_decision(self, kind: str, t: float, job_id: int) -> None:
         self._wal.append(
@@ -196,16 +214,17 @@ class TrafficTrace:
     ) -> "TrafficTrace":
         """Write *jobs* (with *meta*) to a fresh sealed trace at *path*.
 
-        The jobs are known up front, so the header carries the count
-        and the trailer is written immediately — a recorded trace is
-        always complete.  *fingerprint* (when the caller already ran
-        the experiment) is sealed into the trailer so replays can be
-        checked against the original run.
+        The jobs are known up front, so the header carries the count,
+        every job goes out in one group commit, and the trailer is
+        written immediately — a recorded trace is always complete.
+        With ``sync`` that is one fsync for the jobs and one for the
+        trailer, whatever the job count.  *fingerprint* (when the
+        caller already ran the experiment) is sealed into the trailer
+        so replays can be checked against the original run.
         """
         writer = TraceWriter(path, meta=meta, n_jobs=len(jobs), sync=sync)
         try:
-            for job in jobs:
-                writer.append_job(job)
+            writer.append_jobs(jobs)
             writer.seal(fingerprint)
         finally:
             writer.close()

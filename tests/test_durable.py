@@ -200,6 +200,110 @@ class TestWriteAheadLog:
         assert list(read_records(path)) == [bytes(100)]
 
 
+_payloads = st.lists(st.binary(max_size=40), max_size=12)
+
+
+class TestGroupCommit:
+    """``WriteAheadLog.append_many``: one write and one fsync per
+    batch, frames byte-identical to one ``append`` per payload."""
+
+    @given(head=_payloads, batch=_payloads, sync=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_frames_match_single_appends(self, tmp_path_factory, head,
+                                         batch, sync):
+        root = tmp_path_factory.mktemp("wal")
+        with WriteAheadLog(root / "one.wal", sync=sync) as wal:
+            for p in head + batch:
+                wal.append(p)
+            singles = (wal.appends, wal.bytes_appended)
+        with WriteAheadLog(root / "many.wal", sync=sync) as wal:
+            for p in head:
+                wal.append(p)
+            wal.append_many(batch)
+            assert (wal.appends, wal.bytes_appended) == singles
+        assert (root / "many.wal").read_bytes() \
+            == (root / "one.wal").read_bytes()
+
+    def test_one_fsync_per_synced_batch(self, tmp_path, fsync_calls):
+        with WriteAheadLog(tmp_path / "j.wal") as wal:
+            fsync_calls[0] = 0  # not the file creation
+            wal.append_many([b"a", b"b", b"c"])
+            assert fsync_calls[0] == 1
+            wal.append_many([b"%d" % k for k in range(1000)])
+            assert fsync_calls[0] == 2
+            wal.append_many([])  # nothing to commit, nothing to sync
+            assert fsync_calls[0] == 2
+            assert len(wal.records()) == 1003
+
+    def test_unsynced_batch_flushes_at_boundary(self, tmp_path):
+        path = tmp_path / "j.wal"
+        with WriteAheadLog(path, sync=False, flush_every=4) as wal:
+            wal.append_many([b"x", b"y"])
+            assert path.stat().st_size == len(MAGIC)  # still buffered
+            wal.append_many([b"z", b"w", b"v"])  # crosses append 4
+            assert list(read_records(path)) == [b"x", b"y", b"z", b"w",
+                                                b"v"]
+
+    def test_bad_payload_writes_nothing(self, tmp_path):
+        path = tmp_path / "j.wal"
+        with WriteAheadLog(path) as wal:
+            wal.append(b"committed")
+            before = path.read_bytes()
+            with pytest.raises(TypeError):
+                wal.append_many([b"ok", "not bytes", b"ok"])
+            assert wal.appends == 1
+            wal.flush()
+            assert path.read_bytes() == before
+        with pytest.raises(RuntimeError):
+            wal.append_many([b"x"])
+
+    def test_cut_anywhere_leaves_committed_prefix(self, tmp_path):
+        """A crash mid-batch tears it at some byte: every cut keeps a
+        prefix of the batch, and exactly the frames whole before it."""
+        path = tmp_path / "j.wal"
+        batch = [b"alpha", b"", b"gamma" * 7, b"d"]
+        with WriteAheadLog(path) as wal:
+            wal.append(b"head")
+            wal.append_many(batch)
+        whole = path.read_bytes()
+        ends, end = [], len(MAGIC) + 8 + len(b"head")
+        for p in batch:
+            end += 8 + len(p)
+            ends.append(end)
+        for cut in range(ends[0] - 8 - len(batch[0]), len(whole) + 1):
+            path.write_bytes(whole[:cut])
+            survivors = sum(1 for e in ends if e <= cut)
+            expect = [b"head"] + batch[:survivors]
+            assert list(read_records(path)) == expect, cut
+            with WriteAheadLog(path, sync=False) as wal:
+                assert wal.records() == expect, cut
+
+
+class TestFlushSkipsRedundantFsync:
+    def test_synced_appends_leave_nothing_to_flush(self, tmp_path,
+                                                   fsync_calls):
+        with WriteAheadLog(tmp_path / "j.wal") as wal:
+            fsync_calls[0] = 0  # not the file creation
+            wal.append(b"a")
+            wal.flush()
+            wal.flush()
+            wal.append_many([b"b", b"c"])
+            wal.flush()
+            assert fsync_calls[0] == 2
+
+    def test_flush_syncs_writes_made_without_fsync(self, tmp_path,
+                                                   fsync_calls):
+        # a log switched to sync after unsynced appends still owes
+        # those frames one fsync
+        with WriteAheadLog(tmp_path / "j.wal", sync=False) as wal:
+            wal.append(b"a")
+            wal.append_many([b"b"])
+            wal.sync = True
+            wal.flush()
+            wal.flush()
+            assert fsync_calls[0] == 1
+
+
 # -------------------------------------------------------------------------
 # DurableStore
 # -------------------------------------------------------------------------

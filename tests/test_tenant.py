@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -31,7 +32,8 @@ from repro.tenant import (
     verify_incident,
     weighted_max_min,
 )
-from repro.tenant.registry import PRESSURE_REASONS
+from repro.tenant.arbiter import water_fill
+from repro.tenant.registry import _EPS, PRESSURE_REASONS, TenantRegistry
 from repro.traffic.driver import OpenLoopDriver
 from repro.traffic.population import UserPopulation
 from repro.traffic.trace import TrafficTrace
@@ -120,6 +122,99 @@ class TestArbiter:
         assert jain_index([0.0, 0.0]) == 1.0
         assert math.isclose(jain_index([5.0, 5.0, 5.0]), 1.0)
         assert math.isclose(jain_index([1.0, 0.0, 0.0, 0.0]), 0.25)
+
+
+def _reference_weighted_max_min(demands, weights, capacity):
+    """The dict-keyed progressive filling ``water_fill`` replaced, kept
+    verbatim as the bit-exactness oracle."""
+    if capacity < 0:
+        raise ValueError("capacity must be nonnegative")
+    names = sorted(demands)
+    for name in names:
+        if demands[name] < 0:
+            raise ValueError(f"tenant {name!r}: negative demand")
+        if name not in weights or weights[name] <= 0:
+            raise ValueError(f"tenant {name!r}: weight must be positive")
+    shares = {name: 0.0 for name in names}
+    total_demand = sum(demands[name] for name in names)
+    if total_demand <= capacity:
+        for name in names:
+            shares[name] = float(demands[name])
+        return shares
+    remaining = float(capacity)
+    active = list(names)
+    while active:
+        weight_sum = sum(weights[name] for name in active)
+        water = remaining / weight_sum
+        frozen = [
+            name for name in active if demands[name] <= water * weights[name]
+        ]
+        if not frozen:
+            for name in active:
+                shares[name] = water * weights[name]
+            break
+        for name in frozen:
+            shares[name] = float(demands[name])
+            remaining -= demands[name]
+        active = [name for name in active if name not in frozen]
+    return shares
+
+
+def _bits(values):
+    """Exact identity of a float sequence: type and IEEE-754 bytes."""
+    return [(type(v), struct.pack("<d", v)) for v in values]
+
+
+# demands with zeros, ints and repeated values (ties at the water level)
+_fill_demand = st.one_of(
+    st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+    st.sampled_from([0.0, 0, 1, 2, 0.5, 1.5, 2.0]),
+    st.integers(0, 50),
+)
+_fill_weight = st.one_of(
+    st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
+    st.sampled_from([1, 2, 1.0, 0.5, 3]),
+)
+_fill_capacity = st.one_of(
+    st.sampled_from([0, 0.0, 1, 4.0, 8]),
+    st.floats(min_value=0.0, max_value=200.0, allow_nan=False),
+    st.integers(0, 64),
+)
+
+
+class TestWaterFill:
+    """``water_fill`` (list form, unvalidated) and the dict wrapper over
+    it against the dict implementation they replaced: bitwise equal."""
+
+    @given(
+        rows=st.lists(st.tuples(_fill_demand, _fill_weight),
+                      min_size=1, max_size=8),
+        capacity=_fill_capacity,
+        names=st.permutations([f"t{i}" for i in range(8)]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_dict_oracle(self, rows, capacity, names):
+        names = names[: len(rows)]  # insertion order differs from sorted
+        demands = {n: d for n, (d, _) in zip(names, rows)}
+        weights = {n: w for n, (_, w) in zip(names, rows)}
+        oracle = _reference_weighted_max_min(demands, weights, capacity)
+        order = sorted(names)
+        listed = water_fill([demands[n] for n in order],
+                            [weights[n] for n in order], capacity)
+        assert _bits(listed) == _bits(oracle[n] for n in order)
+        wrapped = weighted_max_min(demands, weights, capacity)
+        assert list(wrapped) == order
+        assert _bits(wrapped.values()) == _bits(listed)
+
+    def test_examples(self):
+        # zero capacity: only zero demands are satisfied
+        assert water_fill([0, 3.0], [1, 1], 0) == [0.0, 0.0]
+        # ties at the water level freeze together
+        assert water_fill([2, 2, 9.0], [1, 1, 1], 6.0) == [2.0, 2.0, 2.0]
+        # int inputs come back as floats
+        shares = water_fill([1, 5], [1, 3], 4)
+        assert shares == [1.0, 3.0]
+        assert all(type(s) is float for s in shares)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +481,203 @@ def test_fair_arbiter_state_machine():
     )
 
 
+class _ReferenceRegistry(TenantRegistry):
+    """The per-admit arbiter path the precomputed tables replaced, kept
+    as the oracle: window re-totalling on every admit, dict demands and
+    weights rebuilt, validated and sorted for each of two fills, and a
+    ``last_decision`` dict built per decision."""
+
+    last_decision = None  # a plain attribute here, not the property
+
+    def _expire(self, now):
+        cutoff = now - self.window
+        for state in self._tenants.values():
+            while state.offered and state.offered[0][0] < cutoff:
+                _, svc = state.offered.popleft()
+                state.offered_total -= svc
+            while state.admitted and state.admitted[0][0] < cutoff:
+                _, svc = state.admitted.popleft()
+                state.admitted_total -= svc
+            if not state.offered or state.offered_total < 0.0:
+                state.offered_total = max(0.0, sum(
+                    svc for _, svc in state.offered
+                ))
+            if not state.admitted or state.admitted_total < 0.0:
+                state.admitted_total = max(0.0, sum(
+                    svc for _, svc in state.admitted
+                ))
+
+    def fair_shares(self, n_gpus, now):
+        demands = {
+            name: self.offered_rate(name, now) for name in self._tenants
+        }
+        weights = {
+            name: state.spec.weight
+            for name, state in self._tenants.items()
+        }
+        return _reference_weighted_max_min(demands, weights, float(n_gpus))
+
+    def entitlement(self, name, now, n_gpus):
+        demands = {
+            t: self.offered_rate(t, now) for t in self._tenants
+        }
+        demands[name] = float(n_gpus)
+        weights = {
+            t: state.spec.weight
+            for t, state in self._tenants.items()
+        }
+        return _reference_weighted_max_min(
+            demands, weights, float(n_gpus)
+        )[name]
+
+    def _decide(self, state, job, now, queue_len, n_running, n_gpus):
+        base = state.controller.decide(
+            job, now, queue_len, n_running, n_gpus
+        )
+        shares = self.fair_shares(n_gpus, now)
+        violators = [
+            name for name in sorted(self._tenants)
+            if self.offered_rate(name, now) > shares[name] + _EPS
+        ]
+        name = state.spec.name
+        share = shares[name]
+        ratio = (
+            0.0 if state.offered_total <= _EPS
+            else self.offered_rate(name, now)
+            / self.entitlement(name, now, n_gpus)
+        )
+        old_rung = state.ladder.rung
+        rung = state.ladder.observe(ratio, now)
+        if rung != old_rung:
+            self.recorder.note(
+                "ladder", now, tenant=name, from_rung=old_rung,
+                to_rung=rung, ratio=ratio,
+            )
+        is_violator = name in violators
+        reason = None
+        if is_violator and (
+            self.admitted_rate(name, now) + job.service / self.window
+            > share + _EPS
+        ):
+            reason = "fair_share"
+        elif is_violator and state.ladder.at_least("shed") \
+                and job.priority < state.spec.protect_priority:
+            reason = "brownout_shed"
+        elif is_violator and state.ladder.at_least("defer") \
+                and job.deadline is None:
+            reason = "brownout_defer"
+        elif base is not None:
+            if base in PRESSURE_REASONS and name not in violators \
+                    and violators:
+                reason = None
+            else:
+                reason = base
+        self.last_decision = {
+            "tenant": name, "reason": reason, "shares": shares,
+            "violators": violators, "rung": rung,
+        }
+        return reason
+
+
+_oracle_tenancy = st.builds(
+    lambda weights, window, brownout, queues: TenancySpec(
+        tenants=tuple(
+            TenantSpec(name=name, weight=w, protect_priority=1,
+                       max_queue=q, breaker_failure_threshold=2,
+                       breaker_recovery_time=1.0)
+            for name, w, q in zip(("zeta", "alpha", "mid", "beta"),
+                                  weights, queues)
+        ),
+        window=window, brownout=brownout,
+    ),
+    weights=st.lists(st.sampled_from([1, 2, 1.0, 0.5, 3.0, 1.7]),
+                     min_size=1, max_size=4),
+    window=st.sampled_from([1.0, 2.5, 5.0, 10.0]),
+    brownout=st.sampled_from([
+        None,
+        {"up_threshold": 1.1, "down_threshold": 0.6},
+        {"up_threshold": 2.0, "down_threshold": 0.9},
+    ]),
+    queues=st.lists(st.sampled_from([None, 1, 2, 6]), min_size=4,
+                    max_size=4),
+)
+
+_oracle_step = st.tuples(
+    st.integers(0, 3),                        # tenant index
+    st.sampled_from([0.0, 0.0, 0.05, 0.3, 1.0, 4.0]),  # clock advance
+    st.one_of(st.floats(0.01, 6.0), st.sampled_from([1, 2, 0.5])),
+    st.integers(0, 2),                        # priority
+    st.one_of(st.none(), st.floats(0.5, 30.0)),  # deadline slack
+    st.integers(0, 8),                        # queue length
+    st.sampled_from([None, "success", "failure"]),
+)
+
+
+@given(spec=_oracle_tenancy,
+       steps=st.lists(_oracle_step, min_size=1, max_size=120),
+       n_gpus=st.sampled_from([1, 2, 4, 8]))
+@settings(max_examples=120, deadline=None)
+def test_registry_matches_reference_decisions(spec, steps, n_gpus):
+    """Precomputed tables, one rate list and two list fills per admit
+    decide bit-identically to the per-admit dict arbiter."""
+    fast, ref = spec.make(), _ReferenceRegistry(spec)
+    names = [t.name for t in spec.tenants]
+    now = 0.0
+    for jid, (k, dt, service, prio, slack, qlen, outcome) in \
+            enumerate(steps):
+        now += dt
+        job = _job(jid, names[k % len(names)], now, service=service,
+                   priority=prio,
+                   deadline=None if slack is None else now + slack)
+        got = [r.admit(job, now=now, queue_len=qlen, n_running=n_gpus,
+                       n_gpus=n_gpus) for r in (fast, ref)]
+        assert got[0] == got[1]
+        assert fast.last_decision == ref.last_decision
+        if outcome is not None:
+            for r in (fast, ref):
+                getattr(r, f"record_{outcome}")(now, job)
+    for name in names:
+        a = fast._tenants[name].ladder.history
+        b = ref._tenants[name].ladder.history
+        assert [h[:3] for h in a] == [h[:3] for h in b]
+        assert _bits(h[3] for h in a) == _bits(h[3] for h in b)
+        assert _bits([fast.entitlement(name, now, n_gpus)]) \
+            == _bits([ref.entitlement(name, now, n_gpus)])
+    assert list(fast.recorder.events) == list(ref.recorder.events)
+    assert _bits(e["ratio"] for e in fast.recorder.events
+                 if e["kind"] == "ladder") \
+        == _bits(e["ratio"] for e in ref.recorder.events
+                 if e["kind"] == "ladder")
+    shares = fast.fair_shares(n_gpus, now)
+    assert _bits(shares.values()) \
+        == _bits(ref.fair_shares(n_gpus, now)[n] for n in shares)
+    a, b = fast.checkpoint_state(), ref.checkpoint_state()
+    for st_a, st_b in zip(a["tenants"].values(), b["tenants"].values()):
+        for key in ("offered_total", "admitted_total"):
+            assert _bits([st_a[key]]) == _bits([st_b[key]])
+    # each recorder snapshots the global guard.* counters when built,
+    # and the second registry's snapshot sees the first one's new
+    # per-tenant shed counters
+    for state in (a, b):
+        del state["recorder"]["baseline"]
+    assert a == b
+
+
+def test_last_decision_is_built_on_demand():
+    registry = _tenancy().make()
+    assert registry.last_decision is None
+    registry.admit(_job(1, "noisy", 0.5), now=0.5, queue_len=0,
+                   n_running=0, n_gpus=2)
+    first = registry.last_decision
+    assert first == {"tenant": "noisy", "reason": None,
+                     "shares": {"c0": 0.0, "c1": 0.0, "noisy": 0.1},
+                     "violators": [], "rung": "admit"}
+    first["violators"].append("mutated")  # a copy, not the record
+    assert registry.last_decision["violators"] == []
+    off = _tenancy(arbiter_enabled=False).make()
+    assert off._tables is None  # the disabled path builds no tables
+
+
 # ---------------------------------------------------------------------------
 # per-tenant accounting: engines agree, checkpoints survive
 # ---------------------------------------------------------------------------
@@ -574,6 +866,28 @@ class TestIncidentTraces:
         # lenient replay of the surviving prefix still works
         report, _ = replay_incident(path, strict=False)
         assert report.result.completed > 0
+
+    def test_verify_loads_once_and_replays_twice(self, tmp_path,
+                                                 monkeypatch):
+        from repro.obs import metrics
+
+        bundle = multitenant_pileup(n_gpus=4, n_jobs_per_tenant=30)
+        path = tmp_path / "incident-e.trace"
+        record_incident(path, bundle.jobs, _pileup_driver(bundle),
+                        reason="drill")
+        loads, real = [], TrafficTrace.load.__func__
+
+        def counting_load(cls, *args, **kwargs):
+            loads.append(args)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(TrafficTrace, "load",
+                            classmethod(counting_load))
+        replayed = metrics.counter("tenant.incidents_replayed")
+        before = replayed.value
+        verify_incident(path)
+        assert len(loads) == 1
+        assert replayed.value - before == 2
 
     def test_replay_detects_doctored_fingerprint(self, tmp_path):
         bundle = multitenant_pileup(n_gpus=4, n_jobs_per_tenant=60)

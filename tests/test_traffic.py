@@ -19,11 +19,13 @@ from repro.sched.simulator import Job
 from repro.sched.workloads import draw_services, jobs_from_arrivals
 from repro.traffic import (
     AdmissionSpec,
+    CaptureTap,
     ChaosSpec,
     DiurnalArrivals,
     MMPPArrivals,
     OpenLoopDriver,
     PoissonArrivals,
+    TraceWriter,
     TrafficTrace,
     UserPopulation,
     drive_campaign,
@@ -371,6 +373,53 @@ class TestTrafficTrace:
         TrafficTrace.record(path, self._jobs(30))
         TrafficTrace.record(path, self._jobs(10))
         assert len(TrafficTrace.load(path)) == 10
+
+
+class TestGroupCommittedRecord:
+    """``TrafficTrace.record`` holds every job up front, so it writes
+    them in one group commit and the trailer after it."""
+
+    _jobs = TestTrafficTrace._jobs
+    _fingerprint = {"completed": 3, "shed_log": [[1, "queue_saturated"]]}
+
+    def test_sync_bytes_match_per_frame_writer(self, tmp_path):
+        jobs = self._jobs(50)
+        meta = {"note": "group", "x": 0.1}
+        TrafficTrace.record(tmp_path / "batch.trace", jobs, meta=meta,
+                            sync=True, fingerprint=self._fingerprint)
+        writer = TraceWriter(tmp_path / "frames.trace", meta=meta,
+                             n_jobs=len(jobs), sync=True)
+        for job in jobs:
+            writer.append_job(job)
+        writer.seal(self._fingerprint)
+        assert (tmp_path / "batch.trace").read_bytes() \
+            == (tmp_path / "frames.trace").read_bytes()
+
+    def test_sync_fsyncs_independent_of_job_count(self, tmp_path,
+                                                  fsync_calls):
+        counts = []
+        for n in (10, 1000):
+            fsync_calls[0] = 0
+            TrafficTrace.record(tmp_path / f"{n}.trace", self._jobs(n),
+                                sync=True)
+            counts.append(fsync_calls[0])
+            assert len(TrafficTrace.load(tmp_path / f"{n}.trace")) == n
+        # file + directory entry, header, the job batch, the trailer
+        assert counts == [5, 5]
+
+    def test_live_sync_capture_stays_per_frame(self, tmp_path,
+                                               fsync_calls):
+        jobs = self._jobs(20)
+        tap = CaptureTap(tmp_path / "live.trace", n_jobs=len(jobs),
+                         sync=True, decisions=False)
+        for job in jobs:
+            tap.on_job(job)
+        assert fsync_calls[0] == 3 + len(jobs)  # create, header, each frame
+        tap.seal({"completed": len(jobs)})
+        tap.close()
+        # one more for the trailer; flush/close owe nothing after it
+        assert fsync_calls[0] == 4 + len(jobs)
+        assert TrafficTrace.load(tmp_path / "live.trace").jobs == jobs
 
 
 def _driver(n_gpus=4, horizon=None):
