@@ -138,8 +138,12 @@ class WriteAheadLog:
         if not self.path.exists():
             self._write_fresh(self.path)
         end, count, total = self._scan(self.path)
-        if end < total:
-            self.truncated_bytes = total - end
+        self.truncated_bytes = total - end
+        if end == 0:
+            # no magic header (say, a crash between create and header
+            # write): nothing is committed, so start the file over
+            self._write_fresh(self.path)
+        elif end < total:
             with open(self.path, "r+b") as fh:
                 fh.truncate(end)
                 fh.flush()
@@ -163,7 +167,7 @@ class WriteAheadLog:
 
         A file without the magic header (including an empty file from
         a crash between create and header write) is valid-to-offset 0,
-        which the caller truncates and the next append reheaders.
+        which the caller rewrites as a fresh, empty log.
         """
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
@@ -215,9 +219,6 @@ class WriteAheadLog:
         class: fsync with ``sync``, else flush to the OS whenever the
         append count crosses a ``flush_every`` boundary."""
         fh = self._fh
-        if fh.tell() == 0:
-            # recovery truncated a headerless file down to nothing
-            fh.write(MAGIC)
         fh.write(frames)
         before = self.appends
         self.appends += n

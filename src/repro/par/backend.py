@@ -211,31 +211,30 @@ def _apply_env(env: Dict[str, Optional[str]]) -> None:
 
 def _process_worker_chunk(payload):
     """Entry point executed inside a pool worker (top-level, picklable)."""
-    fn, items, start, env, deadline_at, capture_obs, want_trace = payload
+    fn, items, start, env, deadline_at, want_trace = payload
     _apply_env(env)
     sink = None
     if want_trace:
         sink = _trace.RingBufferSink(capacity=WORKER_TRACE_CAPACITY)
         _trace.TRACER.enable(sink)
-    before = _metrics.snapshot() if capture_obs else None
+    before = _metrics.snapshot()
     try:
         results = _run_items(fn, items, start, deadline_at)
     finally:
         if sink is not None:
             _trace.TRACER.remove_sink(sink)
-    counters = gauges = spans = None
-    if capture_obs:
-        after = _metrics.snapshot()
-        counters = {
-            name: value - before["counters"].get(name, 0)
-            for name, value in after["counters"].items()
-            if value != before["counters"].get(name, 0)
-        }
-        gauges = {
-            name: value
-            for name, value in after["gauges"].items()
-            if value != before["gauges"].get(name)
-        }
+    after = _metrics.snapshot()
+    counters = {
+        name: value - before["counters"].get(name, 0)
+        for name, value in after["counters"].items()
+        if value != before["counters"].get(name, 0)
+    }
+    gauges = {
+        name: value
+        for name, value in after["gauges"].items()
+        if value != before["gauges"].get(name)
+    }
+    spans = None
     if sink is not None:
         pid = os.getpid()
         spans = [dict(rec, worker_pid=pid) for rec in sink]
@@ -419,7 +418,6 @@ def map_fanout(
     workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
     deadline: Union[None, float, Deadline] = None,
-    capture_obs: bool = True,
 ) -> List[Any]:
     """Apply *fn* to every item, in input order, on the chosen backend.
 
@@ -444,8 +442,7 @@ def map_fanout(
         # chunk_size doubles as the minimum steal grain: ranges are
         # split on steal, but never below this many items
         return steal_fanout(
-            fn, items, be, deadline_at=deadline_at,
-            capture_obs=capture_obs, min_grain=chunk_size,
+            fn, items, be, deadline_at=deadline_at, min_grain=chunk_size,
         )
 
     chunk = _chunk_bounds(len(items), be.workers, chunk_size)
@@ -470,8 +467,7 @@ def map_fanout(
     want_trace = _trace.TRACER.enabled
     pool = _get_pool("process", be.workers)
     payloads = [
-        (fn, items[s:s + chunk], s, env, deadline_at, capture_obs,
-         want_trace)
+        (fn, items[s:s + chunk], s, env, deadline_at, want_trace)
         for s in starts
     ]
     wrapped = []
@@ -508,7 +504,6 @@ def run_ensemble(
     workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
     deadline: Union[None, float, Deadline] = None,
-    capture_obs: bool = True,
 ) -> List[Any]:
     """Run heterogeneous :class:`Task`\\ s; results in task order."""
     task_list = list(tasks)
@@ -517,5 +512,5 @@ def run_ensemble(
             raise TypeError("run_ensemble expects repro.par.Task objects")
     return map_fanout(
         _call_task, task_list, backend=backend, workers=workers,
-        chunk_size=chunk_size, deadline=deadline, capture_obs=capture_obs,
+        chunk_size=chunk_size, deadline=deadline,
     )

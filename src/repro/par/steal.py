@@ -184,7 +184,7 @@ def _steal_thread_fanout(fn, items: Sequence[Any], workers: int,
 
 
 def _steal_process_fanout(fn, items: Sequence[Any], workers: int,
-                          deadline_at: Optional[float], capture_obs: bool,
+                          deadline_at: Optional[float],
                           min_grain: int) -> List[Tuple[bool, Any]]:
     from repro.par.backend import (
         PROPAGATED_ENV,
@@ -207,8 +207,7 @@ def _steal_process_fanout(fn, items: Sequence[Any], workers: int,
         if span is None:
             return False
         s, e = span
-        payload = (fn, items[s:e], s, env, deadline_at, capture_obs,
-                   want_trace)
+        payload = (fn, items[s:e], s, env, deadline_at, want_trace)
         inflight[pool.submit(_process_worker_chunk, payload)] = (slot, span)
         return True
 
@@ -256,7 +255,6 @@ def steal_fanout(
     be,
     *,
     deadline_at: Optional[float] = None,
-    capture_obs: bool = True,
     min_grain: Optional[int] = None,
 ) -> List[Any]:
     """Run *fn* over *items* on a work-stealing backend, in order.
@@ -288,5 +286,5 @@ def steal_fanout(
                                        grain)
     else:
         wrapped = _steal_process_fanout(fn, items, be.workers, deadline_at,
-                                        capture_obs, grain)
+                                        grain)
     return _unwrap(wrapped, be.kind)

@@ -30,7 +30,6 @@ from repro.tenant.recorder import (
     FlightRecorder,
     incident_paths,
     record_incident,
-    replay_incident,
     verify_incident,
 )
 from repro.tenant.registry import TenantRegistry
@@ -49,7 +48,6 @@ __all__ = [
     "jain_index",
     "multitenant_pileup",
     "record_incident",
-    "replay_incident",
     "verify_incident",
     "weighted_max_min",
 ]

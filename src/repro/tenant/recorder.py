@@ -19,24 +19,26 @@ commit, then the sealed trailer with its own fsync.  So
 - a recorder killed mid-dump leaves a torn tail that strict loading
   rejects and lenient loading truncates to the committed prefix, and
 - :func:`verify_incident` can demand the replayed fingerprint match
-  the one recorded at dump time, bit for bit.
+  the one recorded at dump time, bit for bit, through the same
+  :func:`~repro.traffic.driver.verify` every other trace goes
+  through.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Tuple, Union
+from typing import Any, Deque, Dict, List, Optional, Union
 
 from repro.obs import metrics as _metrics
 from repro.obs.metrics import snapshot_prefix
+from repro.traffic.driver import verify
 from repro.traffic.trace import TrafficTrace
 
 __all__ = [
     "FlightRecorder",
     "incident_paths",
     "record_incident",
-    "replay_incident",
     "verify_incident",
 ]
 
@@ -157,53 +159,14 @@ def record_incident(
     return trace, report
 
 
-def replay_incident(
-    path: Union[str, Path], strict: bool = True
-) -> Tuple[Any, TrafficTrace]:
-    """Re-run an incident trace through a driver rebuilt from its
-    header; returns ``(TrafficReport, TrafficTrace)``.
-
-    ``strict=False`` replays the surviving prefix of a torn trace
-    (post-crash triage) — the fingerprint check then only makes sense
-    against a fresh replay, not the recorded one.
-    """
-    trace = TrafficTrace.load(path, strict=strict)
-    return _replay(trace), trace
-
-
-def _replay(trace: TrafficTrace):
-    """Run *trace*'s jobs through a driver rebuilt from its header."""
-    from repro.traffic.driver import OpenLoopDriver
-
-    driver = OpenLoopDriver.from_description(trace.meta["driver"])
-    report = driver.run(trace.jobs)
-    _metrics.counter("tenant.incidents_replayed").add()
-    return report
-
-
 def verify_incident(path: Union[str, Path]):
-    """Load *path* once and replay it twice, each time through a fresh
-    driver; demand both fingerprints match each other **and** the
-    fingerprint recorded at dump time.  Returns the replay report;
-    raises ``AssertionError`` on any divergence."""
-    trace = TrafficTrace.load(path)
-    first = _replay(trace)
-    second = _replay(trace)
-    if first.fingerprint() != second.fingerprint():
-        raise AssertionError(
-            f"{path}: incident replay diverged from itself — "
-            "nondeterministic driver state leaked between runs"
-        )
-    # prefer the sealed trailer (v2); fall back to the header copy
-    # older incident dumps carried
-    recorded = trace.fingerprint or trace.meta.get("fingerprint")
-    if recorded is not None and first.fingerprint() != recorded:
-        raise AssertionError(
-            f"{path}: incident replay diverged from the recorded "
-            "fingerprint — the post-mortem is not looking at the "
-            "outage it thinks it is"
-        )
-    return first
+    """Load *path* once and :func:`~repro.traffic.driver.verify` it:
+    two replays, each through a fresh driver, must match each other
+    **and** the fingerprint recorded at dump time.  Returns the replay
+    report; raises ``AssertionError`` on any divergence."""
+    verdict = verify(TrafficTrace.load(path))
+    _metrics.counter("tenant.incidents_replayed").add(2)
+    return verdict.require(path)
 
 
 def incident_paths(directory: Union[str, Path]) -> List[Path]:

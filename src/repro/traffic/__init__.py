@@ -11,7 +11,8 @@ makes every experiment a recorded artifact: a
 :class:`~repro.traffic.trace.TrafficTrace` (JSONL in WAL framing)
 whose header carries the complete generator + driver configuration,
 so any run replays bit-exactly via
-:func:`~repro.traffic.driver.replay_experiment`.
+:func:`~repro.traffic.driver.replay`, and every verifier checks it
+through the one :func:`~repro.traffic.driver.verify`.
 
 Round 2 adds the live side: :class:`~repro.traffic.capture.CaptureTap`
 streams jobs/decisions out of an in-flight run into a WAL-framed
@@ -38,10 +39,13 @@ from repro.traffic.driver import (
     ChaosSpec,
     OpenLoopDriver,
     TrafficReport,
+    Verdict,
     drive_campaign,
     generate_jobs,
     record_experiment,
+    replay,
     replay_experiment,
+    verify,
     verify_replay,
 )
 from repro.traffic.capture import CaptureTap, capture_experiment
@@ -69,7 +73,10 @@ __all__ = [
     "ChaosSpec",
     "generate_jobs",
     "record_experiment",
+    "replay",
     "replay_experiment",
+    "Verdict",
+    "verify",
     "verify_replay",
     "drive_campaign",
 ]

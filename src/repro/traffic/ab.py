@@ -6,12 +6,13 @@ be replayed against the config that produced it.  :func:`ab_replay`
 takes one trace and a list of variant driver descriptions and
 answers two questions:
 
-1. **Is the replay contract intact?**  The trace is replayed under
-   its own recorded config and the fingerprint checked against the
-   sealed trailer (replay-vs-record) — or, for unsealed/torn/v1
-   traces, replayed twice and checked against itself
-   (replay-vs-replay).  Any divergence is a determinism bug, and the
-   CLI exits nonzero on it.
+1. **Is the replay contract intact?**  The trace goes through
+   :func:`~repro.traffic.driver.verify`: replayed twice under its own
+   recorded config, each replay checked against the other
+   (replay-vs-replay) and against the recorded fingerprint
+   (replay-vs-record) when the trace has one a replay can be held to.
+   Any divergence is a determinism bug, and the CLI exits nonzero on
+   it.
 2. **What changes under each variant?**  Every variant description —
    the recorded config with overrides applied (policy, GPU count,
    admission, chaos, tenancy) — replays the same job stream, and the
@@ -37,7 +38,12 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.par import map_fanout
-from repro.traffic.driver import OpenLoopDriver, TrafficReport
+from repro.traffic.driver import (
+    OpenLoopDriver,
+    TrafficReport,
+    replay,
+    verify,
+)
 from repro.traffic.trace import TrafficTrace
 from repro.util.tables import Table
 
@@ -100,15 +106,14 @@ def _metrics_of(report: TrafficReport) -> Dict[str, Any]:
 
 
 def _replay_variant(item) -> Dict[str, Any]:
-    """Worker: replay the jobs under one variant description.
+    """Worker: replay the trace under one variant description.
 
     Module-level so the process/steal backends can pickle it; returns
     only plain metric data (a TrafficReport drags the live registry
     along, which has no business crossing a process boundary).
     """
-    desc, jobs = item
-    driver = OpenLoopDriver.from_description(desc)
-    return _metrics_of(driver.run(jobs))
+    trace, desc = item
+    return _metrics_of(replay(trace, desc))
 
 
 @dataclass
@@ -126,9 +131,10 @@ class ABReport:
     trace_path: str
     #: baseline (recorded-config) replay metrics
     baseline: Dict[str, Any]
-    #: True = replay matched the sealed trailer fingerprint;
-    #: None = trace carries no trailer (v1 or torn prefix) and the
-    #: baseline was checked replay-vs-replay instead
+    #: True = replay matched the recorded fingerprint; None = the
+    #: trace records none a replay can be held to (a torn prefix, or
+    #: a v1 trace without one) and the baseline was checked
+    #: replay-vs-replay only
     fingerprint_matched: Optional[bool]
     #: replay-vs-replay determinism of the baseline (always checked)
     self_consistent: bool
@@ -208,8 +214,8 @@ def ab_replay(
 
     ``strict=False`` accepts a torn/unsealed trace and replays its
     committed prefix (the SIGKILL-mid-capture triage path); the
-    baseline is then checked replay-vs-replay only, since no trailer
-    survived to check against.  ``backend`` drives the variant
+    baseline is then checked replay-vs-replay only, since no recorded
+    fingerprint describes the prefix.  ``backend`` drives the variant
     fan-out (default serial; the baseline fingerprint check always
     runs inline — see module docstring).
     """
@@ -219,27 +225,22 @@ def ab_replay(
         raise ValueError(f"{path}: trace header has no driver config")
     with _trace.span("traffic.ab_replay", n_jobs=len(trace.jobs),
                      n_variants=len(variants)):
-        baseline_driver = OpenLoopDriver.from_description(base_desc)
-        first = baseline_driver.run(trace.jobs)
-        second = OpenLoopDriver.from_description(base_desc).run(trace.jobs)
-        self_consistent = first.fingerprint() == second.fingerprint()
-        fingerprint_matched = (
-            None if trace.fingerprint is None
-            else first.fingerprint() == trace.fingerprint
-        )
-        baseline_metrics = _metrics_of(first)
+        verdict = verify(trace)
+        baseline_metrics = _metrics_of(verdict.report)
         descs = [
             variant_description(base_desc, v.overrides) for v in variants
         ]
+        # only the jobs cross to the workers, not header and decisions
+        jobs_only = TrafficTrace(trace.jobs)
         results = map_fanout(
-            _replay_variant, [(d, trace.jobs) for d in descs],
+            _replay_variant, [(jobs_only, d) for d in descs],
             backend=backend,
         )
     report = ABReport(
         trace_path=str(path),
         baseline=baseline_metrics,
-        fingerprint_matched=fingerprint_matched,
-        self_consistent=self_consistent,
+        fingerprint_matched=verdict.matched,
+        self_consistent=verdict.self_consistent,
         n_jobs=len(trace.jobs),
         complete=trace.complete,
     )

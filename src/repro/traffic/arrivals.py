@@ -22,6 +22,7 @@ verifiable against — regeneration.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator, Tuple
 
@@ -31,29 +32,34 @@ from repro.util.rng import SeedLike, make_rng
 
 
 class ArrivalProcess:
-    """Base interface: ``times(n, rng)`` -> sorted arrival instants."""
+    """Base interface: ``times_iter(rng)`` -> sorted arrival instants."""
 
     #: short tag recorded in trace headers
     kind = "base"
 
-    def times(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def times_iter(self, rng: np.random.Generator) -> Iterator[float]:
+        """Unbounded arrival-time generator: the one definition of the
+        process's draws.  A horizon-bounded streamed session pulls from
+        it directly, so it replays bit-exactly against the materialized
+        list a trace stores."""
         raise NotImplementedError
+
+    def times(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """The first *n* values of :meth:`times_iter` on *rng*.
+
+        The generator is left suspended after its *n*-th yield, so
+        *rng* ends in the state a loop that stops there would leave —
+        callers that draw repeated blocks from one ``Generator`` (see
+        :func:`~repro.traffic.driver.drive_campaign`) depend on it.
+        """
+        return np.fromiter(itertools.islice(self.times_iter(rng), n),
+                           dtype=float, count=n)
 
     def sample(self, n: int, seed: SeedLike = 0) -> np.ndarray:
         """Seed-or-generator convenience wrapper around :meth:`times`."""
         if n < 1:
             raise ValueError("need at least one arrival")
         return self.times(n, make_rng(seed))
-
-    def times_iter(self, rng: np.random.Generator) -> Iterator[float]:
-        """Unbounded arrival-time generator; bit-exact with
-        :meth:`times` — the first ``n`` yields equal ``times(n, rng)``
-        for the same generator state, because each subclass makes the
-        identical draws in the identical order (scalar ``Generator``
-        draws match block draws elementwise).  This is what lets a
-        horizon-bounded streamed session replay bit-exactly against
-        the materialized list a trace stores."""
-        raise NotImplementedError
 
     def stream(self, seed: SeedLike = 0) -> Iterator[float]:
         """Seed-or-generator wrapper around :meth:`times_iter`
@@ -76,6 +82,7 @@ class PoissonArrivals(ArrivalProcess):
         self.rate = rate
 
     def times(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        # vectorized override of the base class's generator path
         return np.cumsum(rng.exponential(1.0 / self.rate, n))
 
     def times_iter(self, rng: np.random.Generator) -> Iterator[float]:
@@ -124,35 +131,7 @@ class MMPPArrivals(ArrivalProcess):
         dq, db = self.mean_dwell
         return (self.quiet_rate * dq + self.burst_rate * db) / (dq + db)
 
-    def times(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        rates = (self.quiet_rate, self.burst_rate)
-        out = np.empty(n)
-        k = 0
-        t = 0.0
-        state = 0  # start quiet
-        while k < n:
-            dwell = float(rng.exponential(self.mean_dwell[state]))
-            seg_end = t + dwell
-            rate = rates[state]
-            # emit this segment's Poisson arrivals gap by gap; the
-            # first gap past seg_end hands over to the next state
-            while k < n:
-                gap = float(rng.exponential(1.0 / rate))
-                if t + gap > seg_end:
-                    break
-                t += gap
-                out[k] = t
-                k += 1
-            t = seg_end
-            state = 1 - state
-        return out
-
     def times_iter(self, rng: np.random.Generator) -> Iterator[float]:
-        # same draw sequence as times(): dwell, then gap-by-gap
-        # arrivals, with the first gap past seg_end handing over to
-        # the next state.  (times() stops pulling after its n-th
-        # output, so the first n yields here are draw-for-draw the
-        # same values.)
         rates = (self.quiet_rate, self.burst_rate)
         t = 0.0
         state = 0  # start quiet
@@ -160,6 +139,8 @@ class MMPPArrivals(ArrivalProcess):
             dwell = float(rng.exponential(self.mean_dwell[state]))
             seg_end = t + dwell
             rate = rates[state]
+            # emit this segment's Poisson arrivals gap by gap; the
+            # first gap past seg_end hands over to the next state
             while True:
                 gap = float(rng.exponential(1.0 / rate))
                 if t + gap > seg_end:
@@ -205,18 +186,6 @@ class DiurnalArrivals(ArrivalProcess):
             1.0 - math.cos(2.0 * math.pi * t / self.period)
         )
         return self.base_rate * (1.0 + swing)
-
-    def times(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        peak = self.base_rate * self.peak_ratio
-        out = np.empty(n)
-        t = 0.0
-        k = 0
-        while k < n:
-            t += float(rng.exponential(1.0 / peak))
-            if rng.random() < self.rate_at(t) / peak:
-                out[k] = t
-                k += 1
-        return out
 
     def times_iter(self, rng: np.random.Generator) -> Iterator[float]:
         peak = self.base_rate * self.peak_ratio

@@ -19,17 +19,21 @@ bit-identical when a recorded trace is replayed.
 
 Experiment configuration is declarative (:class:`ChaosSpec`,
 :class:`AdmissionSpec`) so a trace header carries everything needed to
-rebuild the exact run — :func:`record_experiment` writes it,
-:func:`replay_experiment` rebuilds from the file alone, and
-:func:`verify_replay` runs the replay twice and demands identical
-fingerprints.
+rebuild the exact run — :func:`record_experiment` writes it and
+:func:`replay` rebuilds the driver from the header alone.  Every
+verifier — :func:`verify_replay`, the tenant layer's
+``verify_incident``, the A/B baseline check and ``python -m
+repro.traffic --replay`` — goes through the one :func:`verify`: two
+replays that must agree with each other and with the recorded
+fingerprint.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -396,61 +400,103 @@ def record_experiment(
     return trace, report
 
 
+def replay(
+    trace: TrafficTrace, description: Optional[Dict[str, Any]] = None,
+) -> TrafficReport:
+    """Run *trace*'s jobs through a fresh driver built from
+    *description* — by default the trace header's recorded config."""
+    if description is None:
+        description = trace.meta["driver"]
+    return OpenLoopDriver.from_description(description).run(trace.jobs)
+
+
+class Verdict(NamedTuple):
+    """What :func:`verify` found: the first replay and two checks."""
+
+    report: TrafficReport
+    #: the two replays produced identical fingerprints
+    self_consistent: bool
+    #: the replay matches the recorded fingerprint; ``None`` when the
+    #: trace records none a replay of its jobs can be held to
+    matched: Optional[bool]
+
+    def require(self, where: Union[str, Path]) -> TrafficReport:
+        """The report, or ``AssertionError`` naming the failed check."""
+        if not self.self_consistent:
+            raise AssertionError(
+                f"{where}: replay diverged from itself — "
+                "nondeterministic driver state leaked between runs"
+            )
+        if self.matched is False:
+            raise AssertionError(
+                f"{where}: replay diverged from the recorded "
+                "fingerprint — the trace does not reproduce the run "
+                "that wrote it"
+            )
+        return self.report
+
+
+def verify(trace: TrafficTrace) -> Verdict:
+    """Replay an already-loaded *trace* twice under its recorded
+    config and compare.
+
+    The recorded fingerprint is the sealed trailer's; a trace without
+    one (v1, or an incident dump from before the trailer) falls back
+    to the header's copy, but only when the trace is complete: a torn
+    prefix may hold fewer jobs than the run that fingerprint describes,
+    so it is held to self-consistency alone (``matched`` is ``None``).
+    """
+    first = replay(trace)
+    fingerprint = first.fingerprint()
+    recorded = trace.fingerprint
+    if recorded is None and trace.complete:
+        recorded = trace.meta.get("fingerprint")
+    return Verdict(
+        first,
+        fingerprint == replay(trace).fingerprint(),
+        None if recorded is None else fingerprint == recorded,
+    )
+
+
 def replay_experiment(
     path: Union[str, Path],
 ) -> Tuple[TrafficReport, TrafficTrace]:
     """Rebuild the driver from the trace header and re-run the jobs."""
     trace = TrafficTrace.load(path)
-    driver = OpenLoopDriver.from_description(trace.meta["driver"])
-    report = driver.run(trace.jobs)
+    report = replay(trace)
     _metrics.counter("traffic.experiments_replayed").add()
     return report, trace
 
 
 def verify_replay(path: Union[str, Path]) -> TrafficReport:
-    """Replay *path* twice and demand bit-identical fingerprints.
+    """Load *path* once, :func:`verify` it, and raise on divergence.
 
-    When the trace carries a sealed fingerprint trailer (format v2,
-    written by :func:`record_experiment` and the capture tap), the
-    replay is additionally checked against the *recorded run's*
-    fingerprint — replay-vs-record, the check the pre-trailer format
-    could never make.  Also regenerates the job stream from the
-    recorded generator parameters and checks it matches the recorded
-    jobs — the trace is simultaneously a replay input and a
+    Any trace verifies here: recorded, captured or an incident dump.
+    When the header also carries the generator (``process`` and
+    ``population``), the job stream is regenerated from it and must
+    equal the recorded jobs — the trace is both a replay input and a
     cross-check on the generator.  Raises ``AssertionError`` on any
-    divergence; returns the replay report on success.
+    divergence; returns the first replay's report.
     """
-    first, trace = replay_experiment(path)
-    second, _ = replay_experiment(path)
-    if first.fingerprint() != second.fingerprint():
-        raise AssertionError(
-            f"{path}: replay diverged from itself — nondeterministic "
-            "driver state leaked between runs"
-        )
-    if trace.fingerprint is not None \
-            and first.fingerprint() != trace.fingerprint:
-        raise AssertionError(
-            f"{path}: replay diverged from the recorded run — the "
-            "sealed trailer fingerprint does not match the replay"
-        )
+    trace = TrafficTrace.load(path)
+    verdict = verify(trace)
+    _metrics.counter("traffic.experiments_replayed").add(2)
+    report = verdict.require(path)
     meta = trace.meta
+    if "process" not in meta or "population" not in meta:
+        return report
+    process = process_from_description(meta["process"])
+    population = UserPopulation.from_description(meta["population"])
     if meta.get("mode") == "stream":
         # captured from an unbounded stream: regenerate lazily and
         # compare the offered prefix
-        import itertools
-
-        population = UserPopulation.from_description(meta["population"])
         stream = population.stream_jobs(
-            process_from_description(meta["process"]).stream(
-                meta["arrival_seed"]
-            )
+            process.stream(meta["arrival_seed"])
         )
         regenerated = list(itertools.islice(stream, len(trace.jobs)))
     else:
         regenerated = generate_jobs(
-            process_from_description(meta["process"]),
-            UserPopulation.from_description(meta["population"]),
-            meta.get("n_jobs") or len(trace.jobs),
+            process, population, meta.get("n_jobs") or len(trace.jobs),
             arrival_seed=meta["arrival_seed"],
         )
         horizon = meta["driver"].get("horizon")
@@ -465,7 +511,7 @@ def verify_replay(path: Union[str, Path]) -> TrafficReport:
             f"{path}: regenerated job stream differs from the recorded "
             "trace — generator determinism broken"
         )
-    return first
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,17 @@ class TestWriteAheadLog:
             assert wal.records() == [b"fresh"]
         assert path.read_bytes().startswith(MAGIC)
 
+    def test_zero_byte_file_is_reheadered(self, tmp_path):
+        # a crash between create and header write leaves zero bytes:
+        # nothing to truncate, but the header is still owed
+        path = tmp_path / "j.wal"
+        path.write_bytes(b"")
+        with WriteAheadLog(path, sync=False) as wal:
+            assert (wal.truncated_bytes, wal.records_on_open) == (0, 0)
+            wal.append(b"fresh")
+        assert path.read_bytes().startswith(MAGIC)
+        assert list(read_records(path)) == [b"fresh"]
+
     def test_rotation_empties_atomically(self, tmp_path):
         path = tmp_path / "j.wal"
         with WriteAheadLog(path) as wal:

@@ -28,13 +28,12 @@ from repro.tenant import (
     jain_index,
     multitenant_pileup,
     record_incident,
-    replay_incident,
     verify_incident,
     weighted_max_min,
 )
 from repro.tenant.arbiter import water_fill
 from repro.tenant.registry import _EPS, PRESSURE_REASONS, TenantRegistry
-from repro.traffic.driver import OpenLoopDriver
+from repro.traffic.driver import OpenLoopDriver, replay
 from repro.traffic.population import UserPopulation
 from repro.traffic.trace import TrafficTrace
 
@@ -864,7 +863,7 @@ class TestIncidentTraces:
         assert 0 < len(torn.jobs) < len(bundle.jobs)
         assert torn.jobs == list(bundle.jobs)[: len(torn.jobs)]
         # lenient replay of the surviving prefix still works
-        report, _ = replay_incident(path, strict=False)
+        report = replay(torn)
         assert report.result.completed > 0
 
     def test_verify_loads_once_and_replays_twice(self, tmp_path,

@@ -109,6 +109,35 @@ class TestArrivalProcesses:
         with pytest.raises(ValueError):
             process_from_description({"kind": "nope"})
 
+    @pytest.mark.parametrize(
+        "proc, first7, draw_after7, t600, draw_after600", [
+        (MMPPArrivals(quiet_rate=0.25, burst_rate=1.6,
+                      mean_dwell=(12.0, 4.0)),
+         [2.15322803136924, 2.827974409519328, 3.693073950995636,
+          4.011466816124059, 4.520819449966427, 5.155957075522336,
+          5.236946258945998],
+         0.7880395945039919, 1075.4874252511477, 0.16997999956031995),
+        (DiurnalArrivals(base_rate=0.4, peak_ratio=4.0, period=100.0),
+         [0.8450000703236182, 0.9624945916978209, 1.996373593621279,
+          7.90758685369397, 9.435486446715, 11.811463892033954,
+          12.021060400340762],
+         0.46890816342248465, 600.4489885104689, 0.5694359999963304),
+        ], ids=["mmpp", "diurnal"])
+    def test_times_golden(self, proc, first7, draw_after7, t600,
+                          draw_after600):
+        """``times`` is the first n values of ``times_iter`` and leaves
+        the Generator where the hand-written loops it replaced did:
+        values and the next draw after them pinned from those loops
+        (seed 11)."""
+        rng = np.random.default_rng(11)
+        assert proc.times(7, rng).tolist() == first7
+        assert rng.random() == draw_after7
+        rng = np.random.default_rng(11)
+        out = proc.times(600, rng)
+        assert out.dtype == np.float64 and out.shape == (600,)
+        assert out[:7].tolist() == first7 and out[-1] == t600
+        assert rng.random() == draw_after600
+
 
 class _ReferencePopulation:
     """The per-arrival job loop `UserPopulation.jobs_for` replaced,
