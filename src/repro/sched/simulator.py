@@ -13,6 +13,7 @@ failure/retry counts and the GPU-time destroyed by faults.
 from __future__ import annotations
 
 import heapq
+from copy import copy
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -404,7 +405,7 @@ class SimulatorSession:
     — :meth:`ClusterSimulator.run`, the traffic driver, capture, A/B
     replay, incident recording and every MuMMI cycle.  Between calls
     the session can snapshot its **entire** live state — event heaps,
-    queue contents, per-job attempt counts, accounting, the fault
+    queue contents, per-job attempt counts, the run record, the fault
     injector's RNG, a jittered retry policy's RNG, and the admission
     controller's breaker — and restore it later, in this process or
     another one.  A run cut anywhere (``advance(k)``, checkpoint,
@@ -490,26 +491,20 @@ class SimulatorSession:
         self.requeue_seq = 0
         #: (finish_time, job_id, job, start_time)
         self.running: List[Tuple[float, int, Job, float]] = []
-        self.waits: List[float] = []
-        self.turnarounds: List[float] = []
+        #: the run record, one ``(t, job)`` per event of its kind in
+        #: event order: every started attempt, every completion, every
+        #: shed.  :meth:`result` derives the per-job metrics from them.
+        self.starts: List[Tuple[float, Job]] = []
+        self.finishes: List[Tuple[float, Job]] = []
+        self.sheds: List[Tuple[float, Job]] = []
         self.busy_time = 0.0  # occupied GPU-time, incl. work later wasted
-        self.useful_time = 0.0  # service of completed jobs only
         self.wasted_time = 0.0
         self.t = 0.0
         self.queue_series: List[Tuple[float, int]] = []
-        self.completions: List[Tuple[float, int]] = []
-        self.completed = 0
         self.dropped = 0
-        self.shed = 0
         self.failures = 0
         self.retries = 0
-        self.started = 0
         self.attempts: Dict[int, int] = {}
-        self.tenant_waits: Dict[str, List[float]] = {}
-        self.tenant_turnarounds: Dict[str, List[float]] = {}
-        self.tenant_completed: Dict[str, int] = {}
-        self.tenant_completed_service: Dict[str, float] = {}
-        self.tenant_shed: Dict[str, int] = {}
         self.events = 0
         self.next_fault = (
             fault_injector.next_fault_after(0.0)
@@ -535,6 +530,21 @@ class SimulatorSession:
             or self.completed + self.dropped + self.shed >= self.n
         )
 
+    @property
+    def started(self) -> int:
+        """Attempts started so far (a retried job counts again)."""
+        return len(self.starts)
+
+    @property
+    def completed(self) -> int:
+        """Jobs completed so far."""
+        return len(self.finishes)
+
+    @property
+    def shed(self) -> int:
+        """Jobs the admission controller refused so far."""
+        return len(self.sheds)
+
     def advance(self, max_events: Optional[int] = None) -> int:
         """Process up to *max_events* events (all of them when
         ``None``); return how many were processed.
@@ -549,10 +559,12 @@ class SimulatorSession:
         leftover queue.  ``events`` counts the iteration that ends
         the loop; a resolved session counts nothing more.
 
-        The queue's bound methods, the heaps and accounting lists,
-        the tap hooks and the admission, injector and retry methods
-        are hoisted into locals once per call, and the scalar state
-        is written back in a ``finally``: a budget stop or an
+        Per job, the loop only appends to the run record
+        (``starts``, ``finishes``, ``sheds``); :meth:`result` derives
+        the metrics.  The queue's bound methods, the heaps and record
+        lists, the tap hooks and the admission, injector and retry
+        methods are hoisted into locals once per call, and the scalar
+        state is written back in a ``finally``: a budget stop or an
         exception leaves the session as checkpointable as it would be
         after the same events processed one :meth:`step` at a time.
         """
@@ -570,13 +582,9 @@ class SimulatorSession:
         attempts = self.attempts
         stream, arrivals = self._stream, self.arrivals
         n_arrivals = len(arrivals)
-        waits, turnarounds = self.waits.append, self.turnarounds.append
+        starts, finishes = self.starts.append, self.finishes.append
+        sheds = self.sheds.append
         queue_series = self.queue_series.append
-        completions = self.completions.append
-        tenant_waits = self.tenant_waits
-        tenant_turnarounds = self.tenant_turnarounds
-        tenant_completed = self.tenant_completed
-        tenant_completed_service = self.tenant_completed_service
         tap = self.tap
         on_job = None if tap is None else getattr(tap, "on_job", None)
         on_decision = None if tap is None else \
@@ -604,11 +612,10 @@ class SimulatorSession:
         queued = len(queue)
         n, t, events = self.n, self.t, self.events
         next_arrival, requeue_seq = self.next_arrival, self.requeue_seq
-        busy_time, useful_time, wasted_time = \
-            self.busy_time, self.useful_time, self.wasted_time
-        completed, dropped, shed = self.completed, self.dropped, self.shed
-        failures, retries, started = \
-            self.failures, self.retries, self.started
+        busy_time, wasted_time = self.busy_time, self.wasted_time
+        dropped, failures, retries = self.dropped, self.failures, self.retries
+        # lengths of the finish and shed records, for the resolved check
+        completed, shed = self.completed, self.shed
         finished = False
         processed = 0
         try:
@@ -646,20 +653,10 @@ class SimulatorSession:
                 if t_fin <= t:
                     finish, job_id, job, start = heappop(running)
                     completed += 1
-                    completions((t, job_id))
+                    finishes((t, job))
                     if on_decision is not None:
                         on_decision("complete", t, job_id)
                     busy_time += finish - start
-                    useful_time += job.service
-                    tenant = job.tenant
-                    if tenant is not None:
-                        tenant_completed[tenant] = (
-                            tenant_completed.get(tenant, 0) + 1
-                        )
-                        tenant_completed_service[tenant] = (
-                            tenant_completed_service.get(tenant, 0.0)
-                            + job.service
-                        )
                     if record_success is not None:
                         record_success(t, job)
                 elif next_fault <= t:
@@ -711,7 +708,9 @@ class SimulatorSession:
                                 queued += 1
                             else:
                                 shed += 1
-                                self._note_shed(job, t)
+                                sheds((t, job))
+                                if on_decision is not None:
+                                    on_decision("shed", t, job.job_id)
                             next_arrival += 1
                     else:
                         while stream.peek_time() <= t:
@@ -726,7 +725,9 @@ class SimulatorSession:
                                 queued += 1
                             else:
                                 shed += 1
-                                self._note_shed(job, t)
+                                sheds((t, job))
+                                if on_decision is not None:
+                                    on_decision("shed", t, job.job_id)
                     while requeues and requeues[0][0] <= t:
                         job = heappop(requeues)[2]
                         if admit is None or admit(
@@ -736,7 +737,9 @@ class SimulatorSession:
                             queued += 1
                         else:
                             shed += 1
-                            self._note_shed(job, t)
+                            sheds((t, job))
+                            if on_decision is not None:
+                                on_decision("shed", t, job.job_id)
                 # start whatever the policy picks on the free GPUs
                 while queued and len(running) < n_gpus:
                     batch = select_starts(n_gpus - len(running), running)
@@ -744,48 +747,23 @@ class SimulatorSession:
                         break
                     queued -= len(batch)
                     for job in batch:
-                        wait = t - job.arrival
-                        waits(wait)
-                        turnaround = wait + job.service
-                        turnarounds(turnaround)
-                        tenant = job.tenant
-                        if tenant is not None:
-                            tenant_waits.setdefault(tenant, []).append(
-                                wait
-                            )
-                            tenant_turnarounds.setdefault(
-                                tenant, []
-                            ).append(turnaround)
+                        starts((t, job))
                         heappush(
                             running, (t + job.service, job.job_id, job, t)
                         )
-                        started += 1
                 queue_series((t, queued))
                 processed += 1
         finally:
             self.n, self.t, self.events = n, t, events
             self.next_arrival, self.requeue_seq = next_arrival, requeue_seq
-            self.busy_time, self.useful_time, self.wasted_time = \
-                busy_time, useful_time, wasted_time
-            self.completed, self.dropped, self.shed = completed, dropped, shed
-            self.failures, self.retries, self.started = \
-                failures, retries, started
+            self.busy_time, self.wasted_time = busy_time, wasted_time
+            self.dropped, self.failures, self.retries = \
+                dropped, failures, retries
             if injector is not None:
                 self.next_fault = next_fault
             if finished:
                 self._finished = True
         return processed
-
-    def _note_shed(self, job: Job, now: float) -> None:
-        """Per-tenant and tap bookkeeping of one shed job (the loop
-        keeps the count)."""
-        if job.tenant is not None:
-            self.tenant_shed[job.tenant] = (
-                self.tenant_shed.get(job.tenant, 0) + 1
-            )
-        on_decision = getattr(self.tap, "on_decision", None)
-        if on_decision is not None:
-            on_decision("shed", now, job.job_id)
 
     def step(self) -> bool:
         """Process one event (``advance(1)``); False once the schedule
@@ -798,14 +776,51 @@ class SimulatorSession:
         return self.result()
 
     def result(self) -> SimResult:
-        """The :class:`SimResult` for the work processed so far."""
+        """The :class:`SimResult` for the work processed so far.
+
+        Every per-job metric is derived here from the run record, one
+        pass per record list in event order, so each float sum adds
+        its terms in the order the events happened and a resumed run
+        derives the same bits as the uninterrupted one.
+        """
+        waits: List[float] = []
+        turnarounds: List[float] = []
+        tenant_waits: Dict[str, List[float]] = {}
+        tenant_turnarounds: Dict[str, List[float]] = {}
+        for t, job in self.starts:
+            wait = t - job.arrival
+            turnaround = wait + job.service
+            waits.append(wait)
+            turnarounds.append(turnaround)
+            if job.tenant is not None:
+                tenant_waits.setdefault(job.tenant, []).append(wait)
+                tenant_turnarounds.setdefault(job.tenant, []).append(
+                    turnaround
+                )
+        completions: List[Tuple[float, int]] = []
+        useful_time = 0.0  # service of completed jobs only
+        tenant_completed: Dict[str, int] = {}
+        tenant_completed_service: Dict[str, float] = {}
+        for t, job in self.finishes:
+            completions.append((t, job.job_id))
+            useful_time += job.service
+            tenant = job.tenant
+            if tenant is not None:
+                tenant_completed[tenant] = tenant_completed.get(tenant, 0) + 1
+                tenant_completed_service[tenant] = (
+                    tenant_completed_service.get(tenant, 0.0) + job.service
+                )
+        tenant_shed: Dict[str, int] = {}
+        for _, job in self.sheds:
+            if job.tenant is not None:
+                tenant_shed[job.tenant] = tenant_shed.get(job.tenant, 0) + 1
         makespan = self.t
         busy = self.busy_time
         for finish, _, job, start in self.running:
             busy += max(0.0, min(finish, makespan) - start)
         capacity = self.n_gpus * makespan
         util = busy / capacity if makespan > 0 else 0.0
-        goodput = self.useful_time / capacity if makespan > 0 else 0.0
+        goodput = useful_time / capacity if makespan > 0 else 0.0
         if self.done and not self._metrics_emitted:
             self._metrics_emitted = True
             _metrics.counter("sched.runs").add()
@@ -819,11 +834,10 @@ class SimulatorSession:
         return SimResult(
             makespan=makespan,
             utilization=min(util, 1.0),
-            mean_wait=float(np.mean(self.waits)) if self.waits else 0.0,
-            max_wait=float(np.max(self.waits)) if self.waits else 0.0,
+            mean_wait=float(np.mean(waits)) if waits else 0.0,
+            max_wait=float(np.max(waits)) if waits else 0.0,
             mean_turnaround=(
-                float(np.mean(self.turnarounds)) if self.turnarounds
-                else 0.0
+                float(np.mean(turnarounds)) if turnarounds else 0.0
             ),
             completed=self.completed,
             started=self.started,
@@ -835,29 +849,37 @@ class SimulatorSession:
             wasted_time=self.wasted_time,
             goodput=min(goodput, 1.0),
             queue_series=list(self.queue_series),
-            waits=list(self.waits),
-            turnarounds=list(self.turnarounds),
-            completions=list(self.completions),
-            tenant_waits={
-                k: list(v) for k, v in self.tenant_waits.items()
-            },
-            tenant_turnarounds={
-                k: list(v) for k, v in self.tenant_turnarounds.items()
-            },
-            tenant_completed=dict(self.tenant_completed),
-            tenant_completed_service=dict(self.tenant_completed_service),
-            tenant_shed=dict(self.tenant_shed),
+            waits=waits,
+            turnarounds=turnarounds,
+            completions=completions,
+            tenant_waits=tenant_waits,
+            tenant_turnarounds=tenant_turnarounds,
+            tenant_completed=tenant_completed,
+            tenant_completed_service=tenant_completed_service,
+            tenant_shed=tenant_shed,
         )
 
     # -- checkpoint protocol -------------------------------------------
 
+    #: the loop's own state, named once: :meth:`checkpoint_state` saves
+    #: a shallow copy of each attribute and :meth:`restore_state` writes
+    #: each one back, so no field can be saved without being restored.
+    #: The queue, injector, admission controller and retry policy
+    #: checkpoint themselves.
+    _LOOP_STATE = (
+        "t", "events", "next_arrival", "requeues", "requeue_seq",
+        "running", "attempts", "starts", "finishes", "sheds",
+        "queue_series", "busy_time", "wasted_time", "dropped",
+        "failures", "retries", "next_fault", "_finished",
+    )
+
     def checkpoint_state(self) -> Dict:
         """Snapshot everything the event loop reads: heaps, queue,
-        clocks, accounting, and the injector/admission streams (plus
-        a ``"retry"`` entry when the retry policy draws from an RNG).
-        Jobs are frozen dataclasses, so shallow container copies are
-        full snapshots, and the whole dict is picklable for the
-        durable layer."""
+        clocks, the run record, and the injector/admission streams
+        (plus a ``"retry"`` entry when the retry policy draws from an
+        RNG).  Jobs are frozen dataclasses, so shallow container
+        copies are full snapshots, and the whole dict is picklable for
+        the durable layer."""
         if self._stream is not None:
             raise RuntimeError(
                 "streamed sessions are not checkpointable — the "
@@ -865,85 +887,19 @@ class SimulatorSession:
                 "stream to a trace and resume from the materialized jobs"
             )
         state = {
-            "next_arrival": self.next_arrival,
-            "requeues": list(self.requeues),
-            "requeue_seq": self.requeue_seq,
-            "running": list(self.running),
-            "waits": list(self.waits),
-            "turnarounds": list(self.turnarounds),
-            "busy_time": self.busy_time,
-            "useful_time": self.useful_time,
-            "wasted_time": self.wasted_time,
-            "t": self.t,
-            "queue_series": list(self.queue_series),
-            "completions": list(self.completions),
-            "completed": self.completed,
-            "dropped": self.dropped,
-            "shed": self.shed,
-            "failures": self.failures,
-            "retries": self.retries,
-            "started": self.started,
-            "attempts": dict(self.attempts),
-            "tenant_waits": {
-                k: list(v) for k, v in self.tenant_waits.items()
-            },
-            "tenant_turnarounds": {
-                k: list(v) for k, v in self.tenant_turnarounds.items()
-            },
-            "tenant_completed": dict(self.tenant_completed),
-            "tenant_completed_service": dict(
-                self.tenant_completed_service
-            ),
-            "tenant_shed": dict(self.tenant_shed),
-            "events": self.events,
-            "next_fault": self.next_fault,
-            "finished": self._finished,
-            "queue": self.queue.checkpoint_state(),
-            "injector": checkpoint_of(self.fault_injector),
-            "admission": checkpoint_of(self.admission),
+            name: copy(getattr(self, name)) for name in self._LOOP_STATE
         }
+        state["queue"] = self.queue.checkpoint_state()
+        state["injector"] = checkpoint_of(self.fault_injector)
+        state["admission"] = checkpoint_of(self.admission)
         retry = checkpoint_of(self.retry_policy)
         if retry is not None:
             state["retry"] = retry
         return state
 
     def restore_state(self, state: Dict) -> None:
-        self.next_arrival = state["next_arrival"]
-        self.requeues = list(state["requeues"])
-        self.requeue_seq = state["requeue_seq"]
-        self.running = list(state["running"])
-        self.waits = list(state["waits"])
-        self.turnarounds = list(state["turnarounds"])
-        self.busy_time = state["busy_time"]
-        self.useful_time = state["useful_time"]
-        self.wasted_time = state["wasted_time"]
-        self.t = state["t"]
-        self.queue_series = list(state["queue_series"])
-        self.completions = [
-            (t, j) for t, j in state.get("completions", [])
-        ]
-        self.completed = state["completed"]
-        self.dropped = state["dropped"]
-        self.shed = state["shed"]
-        self.failures = state["failures"]
-        self.retries = state["retries"]
-        self.started = state["started"]
-        self.attempts = dict(state["attempts"])
-        self.tenant_waits = {
-            k: list(v) for k, v in state.get("tenant_waits", {}).items()
-        }
-        self.tenant_turnarounds = {
-            k: list(v)
-            for k, v in state.get("tenant_turnarounds", {}).items()
-        }
-        self.tenant_completed = dict(state.get("tenant_completed", {}))
-        self.tenant_completed_service = dict(
-            state.get("tenant_completed_service", {})
-        )
-        self.tenant_shed = dict(state.get("tenant_shed", {}))
-        self.events = state["events"]
-        self.next_fault = state["next_fault"]
-        self._finished = state["finished"]
+        for name in self._LOOP_STATE:
+            setattr(self, name, copy(state[name]))
         self.queue.restore_state(state["queue"])
         if self.fault_injector is not None and state["injector"] is not None:
             self.fault_injector.restore_state(state["injector"])
@@ -973,9 +929,6 @@ class ClusterSimulator:
         if n_gpus < 1:
             raise ValueError("need at least one GPU")
         self.n_gpus = n_gpus
-
-    def _make_queue(self, policy, engine: str):
-        return _build_queue(policy, engine, self.n_gpus)
 
     def session(
         self,
@@ -1047,7 +1000,7 @@ class ClusterSimulator:
         jobs = list(jobs)  # accept any iterable (arrival streams)
         if not jobs:
             raise ValueError("no jobs to schedule")
-        queue = self._make_queue(policy, engine)
+        queue = _build_queue(policy, engine, self.n_gpus)
         is_fast = not isinstance(queue, _ReferenceQueue)
         validate = is_fast and _validate.validation_enabled()
 

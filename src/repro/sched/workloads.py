@@ -50,10 +50,6 @@ def draw_services(rng: np.random.Generator, n: Optional[int],
     return np.where(is_long, services * 6.0, services), is_long
 
 
-# backward-compatible private name (pre-traffic call sites)
-_services = draw_services
-
-
 def jobs_from_arrivals(
     arrivals: Sequence[float],
     services: Sequence[float],

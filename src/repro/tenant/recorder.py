@@ -1,13 +1,14 @@
 """Incident flight recorder: bounded transition ring + WAL'd dumps.
 
 During a run the recorder keeps a bounded ring buffer of guard-layer
-transitions — shed decisions, breaker trips, brownout ladder moves —
-plus a baseline snapshot of the ``guard.*`` counters.  On an SLO
-breach or overload trip (:meth:`TenantRegistry.incident_worthy`) the
-driver dumps an **incident trace**: the complete job stream plus a
-header carrying the driver description (tenancy included), the ring
-contents, the ``guard.*`` counter deltas, and the run's replay
-fingerprint.  The file is a plain
+transitions — shed decisions, breaker trips, brownout ladder moves.
+On an SLO breach or overload trip
+(:meth:`TenantRegistry.incident_worthy`) the driver dumps an
+**incident trace**: the complete job stream plus a header carrying
+the driver description (tenancy included), the ring contents, the
+run's ``guard.*`` counter deltas (the fingerprint's
+``guard_counters``, which the driver measures around the run), and
+the run's replay fingerprint.  The file is a plain
 :class:`~repro.traffic.trace.TrafficTrace` in
 :class:`~repro.durable.wal.WriteAheadLog` framing, written with
 ``sync=True`` because incidents must survive the machine, not just
@@ -31,7 +32,6 @@ from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Union
 
 from repro.obs import metrics as _metrics
-from repro.obs.metrics import snapshot_prefix
 from repro.traffic.driver import verify
 from repro.traffic.trace import TrafficTrace
 
@@ -53,8 +53,6 @@ class FlightRecorder:
         self.events: Deque[Dict[str, Any]] = deque(maxlen=capacity)
         #: transitions rotated out of the bounded ring
         self.dropped = 0
-        #: ``guard.*`` counter baseline the dump diffs against
-        self._baseline = snapshot_prefix("guard.")
 
     def note(self, kind: str, t: float, **detail: Any) -> None:
         """Record one transition (oldest entries rotate out)."""
@@ -66,23 +64,6 @@ class FlightRecorder:
         detail["t"] = t
         self.events.append(detail)
 
-    def guard_deltas(self) -> Dict[str, float]:
-        """``guard.*`` counter movement since the recorder started."""
-        current = snapshot_prefix("guard.")
-        return {
-            k: current[k] - self._baseline.get(k, 0)
-            for k in current
-            if current[k] != self._baseline.get(k, 0)
-        }
-
-    def summary(self, reason: str) -> Dict[str, Any]:
-        return {
-            "reason": reason,
-            "events": [dict(e) for e in self.events],
-            "events_dropped": self.dropped,
-            "guard_deltas": self.guard_deltas(),
-        }
-
     def dump_incident(
         self,
         path: Union[str, Path],
@@ -93,8 +74,17 @@ class FlightRecorder:
         extra: Optional[Dict[str, Any]] = None,
     ) -> TrafficTrace:
         """Write the WAL-framed incident trace: the jobs in one fsynced
-        group commit, then the sealed trailer with its own fsync."""
-        incident = self.summary(reason)
+        group commit, then the sealed trailer with its own fsync.
+
+        The header's ``guard_deltas`` are *fingerprint*'s
+        ``guard_counters``: the run's one measurement of its
+        ``guard.*`` counter movement."""
+        incident = {
+            "reason": reason,
+            "events": [dict(e) for e in self.events],
+            "events_dropped": self.dropped,
+            "guard_deltas": dict(fingerprint["guard_counters"]),
+        }
         if extra:
             incident.update(extra)
         meta = {
@@ -116,7 +106,6 @@ class FlightRecorder:
         return {
             "events": [dict(e) for e in self.events],
             "dropped": self.dropped,
-            "baseline": dict(self._baseline),
         }
 
     def restore_state(self, state: Dict[str, Any]) -> None:
@@ -124,7 +113,6 @@ class FlightRecorder:
             (dict(e) for e in state["events"]), maxlen=self.capacity
         )
         self.dropped = state["dropped"]
-        self._baseline = dict(state["baseline"])
 
 
 def record_incident(

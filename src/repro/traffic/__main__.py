@@ -69,6 +69,9 @@ def _replay_one(path: Path) -> int:
     incident dump) against itself and its recorded fingerprint."""
     try:
         report = verify_replay(path)
+    except ValueError as exc:  # a torn or unreadable trace, as in ``ab``
+        print(f"[traffic] replay: {exc}", file=sys.stderr)
+        return 2
     except AssertionError as exc:
         print(f"[traffic] {path}: REPLAY FAILED: {exc}", file=sys.stderr)
         return 1
@@ -187,7 +190,8 @@ def capture_main(argv) -> int:
 
 
 def ab_main(argv) -> int:
-    from repro.traffic.ab import ABVariant, ab_replay
+    from repro.traffic.ab import ABVariant, _ab_compare
+    from repro.traffic.trace import TrafficTrace
 
     ap = argparse.ArgumentParser(
         prog="python -m repro.traffic ab",
@@ -209,19 +213,15 @@ def ab_main(argv) -> int:
 
     variants = [_parse_variant(s) for s in args.variant]
     try:
+        trace = TrafficTrace.load(args.trace, strict=not args.allow_torn)
         if not variants:
-            from repro.traffic.trace import TrafficTrace
-
-            base = TrafficTrace.load(
-                args.trace, strict=not args.allow_torn
-            ).meta.get("driver", {})
+            base = trace.meta.get("driver", {})
             variants = [
                 ABVariant("sjf", {"policy": "sjf"}),
                 ABVariant("half_gpus",
                           {"n_gpus": max(1, base.get("n_gpus", 2) // 2)}),
             ]
-        report = ab_replay(args.trace, variants, backend=args.backend,
-                           strict=not args.allow_torn)
+        report = _ab_compare(trace, args.trace, variants, args.backend)
     except ValueError as exc:
         print(f"[traffic] ab: {exc}", file=sys.stderr)
         return 2

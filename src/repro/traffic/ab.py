@@ -219,7 +219,15 @@ def ab_replay(
     fan-out (default serial; the baseline fingerprint check always
     runs inline — see module docstring).
     """
-    trace = TrafficTrace.load(path, strict=strict)
+    return _ab_compare(TrafficTrace.load(path, strict=strict), path,
+                       variants, backend)
+
+
+def _ab_compare(trace: TrafficTrace, path: Union[str, Path],
+                variants: Sequence[ABVariant],
+                backend: Union[None, str]) -> ABReport:
+    """:func:`ab_replay` on a trace already loaded from *path* (the
+    CLI reads the header to size its default variants first)."""
     base_desc = trace.meta.get("driver")
     if base_desc is None:
         raise ValueError(f"{path}: trace header has no driver config")

@@ -610,12 +610,7 @@ class TestSimulatorSession:
             whole = _build_session(engine, fault, admission)
             whole.advance()
             assert stepped.result() == whole.result(), admission
-            # the registry's flight recorder snapshots process-global
-            # counters, so only the loop's own state is compared
-            loop_state = [s.checkpoint_state() for s in (stepped, whole)]
-            for state in loop_state:
-                del state["admission"]
-            assert loop_state[0] == loop_state[1]
+            assert stepped.checkpoint_state() == whole.checkpoint_state()
             assert stepped.done and whole.done
             assert stepped.advance() == 0 and not stepped.step()
 
@@ -676,6 +671,29 @@ class TestSimulatorSession:
         second event loop to compare against, they are the guard
         against semantic drift (event order, shed reasons, breaker,
         retry cap)."""
+        assert self._golden_tenant_fields(tagged=False) == \
+            ({}, {}, {}, {}, {})
+
+    def test_golden_schedule_tenant_tagged(self):
+        """The golden schedule with job *k* owned by tenant
+        ``("a", "b", "c")[k % 3]``: FCFS and the controller ignore
+        tenants, so every pin above holds again, and the five
+        per-tenant fields :meth:`SimulatorSession.result` derives
+        from the run record are pinned too."""
+        assert self._golden_tenant_fields(tagged=True) == (
+            {"a": [0.0, 0.5, 1.25, 0.25, 1.75], "b": [0.0, 1.75, 1.0],
+             "c": [0.0, 1.25, 1.25, 0.5]},
+            {"a": [4.0, 5.5, 4.25, 5.25, 5.75], "b": [3.0, 2.75, 2.0],
+             "c": [2.0, 3.25, 3.25, 2.5]},
+            {"a": 4, "b": 2, "c": 1},
+            {"a": 16.0, "b": 2.0, "c": 2.0},
+            {"b": 2, "c": 2},
+        )
+
+    @staticmethod
+    def _golden_tenant_fields(tagged):
+        """Run the golden schedule, check its pins, and return the
+        result's five per-tenant fields."""
         from repro.guard.deadline import AdmissionController, CircuitBreaker
         from repro.resilience import CappedRetry
         from repro.sched import ClusterSimulator, Fcfs
@@ -689,7 +707,8 @@ class TestSimulatorSession:
             (8, 4.0, 2.0, 2, 20.0), (9, 5.0, 4.0, 0, None),
             (10, 6.0, 1.0, 1, 9.0), (11, 6.5, 2.0, 0, None),
         ]
-        jobs = [Job(job_id=j, arrival=a, service=s, priority=p, deadline=d)
+        jobs = [Job(job_id=j, arrival=a, service=s, priority=p, deadline=d,
+                    tenant=("a", "b", "c")[j % 3] if tagged else None)
                 for j, a, s, p, d in spec]
         admission = AdmissionController(
             max_queue=2, protect_priority=1,
@@ -722,6 +741,14 @@ class TestSimulatorSession:
             (7, 12, 5, 4, 1, 4)
         assert (result.makespan, result.wasted_time) == (10.75, 8.75)
         assert admission.breaker.trips == 1
+        assert result.waits == [
+            0.0, 0.0, 0.0, 0.5, 1.75, 1.25, 1.25, 0.25, 1.25, 1.75, 1.0, 0.5,
+        ]
+        return (
+            result.tenant_waits, result.tenant_turnarounds,
+            result.tenant_completed, result.tenant_completed_service,
+            result.tenant_shed,
+        )
 
     def test_checkpoint_resume_is_bit_exact(self):
         from repro.resilience import FaultInjector, ImmediateRetry

@@ -193,6 +193,10 @@ def test_each_verifier_loads_once(trace_path, monkeypatch):
     ab_replay(trace_path, [])
     assert len(loads) == 3
     assert ab_runs.value - before[1] == 1
+    # without --variant the CLI sizes its defaults from the same load
+    assert traffic_main(["ab", str(trace_path)]) == 0
+    assert len(loads) == 4
+    assert ab_runs.value - before[1] == 2
 
 
 def test_torn_incident_is_held_to_self_consistency(sealed, tmp_path,
@@ -208,6 +212,10 @@ def test_torn_incident_is_held_to_self_consistency(sealed, tmp_path,
     torn = TrafficTrace.load(path, strict=False)
     assert not torn.complete and "fingerprint" in torn.meta
     assert len(torn.jobs) == len(frames) - 3
+    # strict load refuses it: bad input (2), not a divergence (1)
+    assert traffic_main(["--replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "torn trace" in err and "Traceback" not in err
     assert traffic_main(["ab", str(path)]) == 2
     assert traffic_main(["ab", str(path), "--allow-torn",
                          "--variant", "sjf:policy=sjf"]) == 0
