@@ -30,11 +30,12 @@ fault injector), and every shed/trip lands in ``guard.*`` counters.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Optional, Tuple
+from typing import Deque, Optional, Tuple
 
 from repro.guard.config import guard_strict
 from repro.guard.errors import CircuitOpenError, DeadlineExceededError
 from repro.obs import metrics as _metrics
+from repro.util.state import DEQUE, NESTED, Field, Stateful, fields
 
 
 class Deadline:
@@ -71,7 +72,7 @@ class Deadline:
         return f"Deadline(at={self.at!r})"
 
 
-class CircuitBreaker:
+class CircuitBreaker(Stateful):
     """Closed / open / half-open breaker over consecutive failures.
 
     State machine:
@@ -82,7 +83,12 @@ class CircuitBreaker:
       ``recovery_time`` clock units after the trip.
     - **half-open** — one probe request is admitted; success closes
       the breaker, failure re-opens it.
+
+    The checkpoint is the state machine's four fields; it is the
+    ``breaker_state`` a traffic run seals into its fingerprint.
     """
+
+    _STATE = fields("state", "consecutive_failures", "opened_at", "trips")
 
     def __init__(self, failure_threshold: int = 3,
                  recovery_time: float = 1.0, name: str = "breaker"):
@@ -165,24 +171,8 @@ class CircuitBreaker:
             self.trips += 1
             _metrics.counter(f"guard.breaker.{self.name}.trips").add()
 
-    # -- checkpoint protocol (twin-run validation, campaign restarts) --
 
-    def checkpoint_state(self) -> Dict[str, Any]:
-        return {
-            "state": self.state,
-            "consecutive_failures": self.consecutive_failures,
-            "opened_at": self.opened_at,
-            "trips": self.trips,
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self.state = state["state"]
-        self.consecutive_failures = state["consecutive_failures"]
-        self.opened_at = state["opened_at"]
-        self.trips = state["trips"]
-
-
-class AdmissionController:
+class AdmissionController(Stateful):
     """Deadline- and pressure-aware shed-or-admit decisions.
 
     A job is **shed** (refused at enqueue time) when any of:
@@ -200,6 +190,13 @@ class AdmissionController:
     pure functions of the observable state passed in, so a replayed
     event sequence sheds identically.
     """
+
+    _STATE = (
+        *fields("shed_count", "admitted"),
+        Field("shed_log", DEQUE),
+        Field("shed_log_dropped"),
+        Field("breaker", NESTED),
+    )
 
     def __init__(
         self,
@@ -295,28 +292,3 @@ class AdmissionController:
             return True
         self.note_shed(job, shed_reason)
         return False
-
-    # -- checkpoint protocol -------------------------------------------
-
-    def checkpoint_state(self) -> Dict[str, Any]:
-        return {
-            "shed_count": self.shed_count,
-            "admitted": self.admitted,
-            "shed_log": list(self.shed_log),
-            "shed_log_dropped": self.shed_log_dropped,
-            "breaker": (
-                None if self.breaker is None
-                else self.breaker.checkpoint_state()
-            ),
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self.shed_count = state["shed_count"]
-        self.admitted = state["admitted"]
-        self.shed_log = deque(
-            ((j, r) for j, r in state.get("shed_log", [])),
-            maxlen=self.shed_log_cap,
-        )
-        self.shed_log_dropped = state.get("shed_log_dropped", 0)
-        if self.breaker is not None and state["breaker"] is not None:
-            self.breaker.restore_state(state["breaker"])

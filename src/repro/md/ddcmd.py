@@ -15,9 +15,8 @@ shifted-LJ nonbonded interactions, harmonic bonds, and cosine angles.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,6 +34,15 @@ from repro.md.neighbor import NeighborList
 from repro.md.particles import ParticleSystem, PeriodicBox
 from repro.md.potentials import MartiniLJ, PairProcessor
 from repro.util.rng import make_rng
+from repro.util.state import (
+    COPY,
+    NESTED,
+    RNG,
+    Field,
+    Stateful,
+    convert,
+    fields,
+)
 
 #: the real code's per-step kernel count (§4.6: "46 CUDA kernels")
 DDCMD_KERNELS_PER_STEP = 46
@@ -43,8 +51,34 @@ DDCMD_KERNELS_PER_STEP = 46
 HEAD, TAIL, WATER = 0, 1, 2
 
 
-class DdcMD:
-    """Double-precision all-GPU MD simulation proxy."""
+def _copy_forces(cached):
+    """A copy of the integrator's ``(forces, energy, virial)`` cache."""
+    if cached is None:
+        return None
+    forces, energy, virial = cached
+    return forces.copy(), energy, virial
+
+
+class DdcMD(Stateful):
+    """Double-precision all-GPU MD simulation proxy.
+
+    The checkpoint is everything the trajectory depends on: beyond
+    positions, velocities and the box, the neighbor list's own state,
+    the integrator's cached forces and the thermostat's RNG.
+    """
+
+    _STATE = (
+        Field("x", COPY, "system.x"),
+        Field("v", COPY, "system.v"),
+        Field("box", convert(lambda box: tuple(box.lengths), PeriodicBox),
+              "system.box"),
+        *fields("steps_taken", "potential_energy", "virial"),
+        Field("abft_energy", path="_abft_energy"),
+        Field("cached_forces", convert(_copy_forces, _copy_forces),
+              "integrator._cached"),
+        Field("nlist", NESTED),
+        Field("thermostat_rng", RNG, "thermostat.rng"),
+    )
 
     def __init__(
         self,
@@ -193,79 +227,6 @@ class DdcMD:
     @property
     def progress(self) -> int:
         return self.steps_taken
-
-    def checkpoint_state(self) -> Dict[str, Any]:
-        """Snapshot everything the trajectory depends on.
-
-        Beyond positions/velocities this must include the neighbor
-        list (its skin-reuse decision depends on reference positions,
-        and a different pair ordering changes force summation order —
-        enough to break bit-for-bit replay), the integrator's cached
-        forces, and the thermostat's RNG state.
-        """
-        sys = self.system
-        cached = self.integrator._cached
-        return {
-            "x": sys.x.copy(),
-            "v": sys.v.copy(),
-            "box": tuple(sys.box.lengths),
-            "steps_taken": self.steps_taken,
-            "potential_energy": self.potential_energy,
-            "virial": self.virial,
-            "abft_energy": self._abft_energy,
-            "cached_forces": (
-                None if cached is None
-                else (cached[0].copy(), cached[1], cached[2])
-            ),
-            "nlist": {
-                "pairs_i": self.nlist.pairs_i.copy(),
-                "pairs_j": self.nlist.pairs_j.copy(),
-                "x_ref": (
-                    None if self.nlist._x_ref is None
-                    else self.nlist._x_ref.copy()
-                ),
-                "box_ref": (
-                    None if self.nlist._box_ref is None
-                    else self.nlist._box_ref.copy()
-                ),
-                "builds": self.nlist.builds,
-                "reuses": self.nlist.reuses,
-            },
-            "thermostat_rng": (
-                None if self.thermostat is None
-                else copy.deepcopy(self.thermostat.rng.bit_generator.state)
-            ),
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        sys = self.system
-        sys.box = PeriodicBox(tuple(state["box"]))
-        sys.x = state["x"].copy()
-        sys.v = state["v"].copy()
-        self.steps_taken = state["steps_taken"]
-        self.potential_energy = state["potential_energy"]
-        self.virial = state["virial"]
-        self._abft_energy = state["abft_energy"]
-        cached = state["cached_forces"]
-        self.integrator._cached = (
-            None if cached is None
-            else (cached[0].copy(), cached[1], cached[2])
-        )
-        nl = state["nlist"]
-        self.nlist.pairs_i = nl["pairs_i"].copy()
-        self.nlist.pairs_j = nl["pairs_j"].copy()
-        self.nlist._x_ref = (
-            None if nl["x_ref"] is None else nl["x_ref"].copy()
-        )
-        self.nlist._box_ref = (
-            None if nl["box_ref"] is None else nl["box_ref"].copy()
-        )
-        self.nlist.builds = nl["builds"]
-        self.nlist.reuses = nl["reuses"]
-        if self.thermostat is not None and state["thermostat_rng"] is not None:
-            self.thermostat.rng.bit_generator.state = copy.deepcopy(
-                state["thermostat_rng"]
-            )
 
     def abft_error(self) -> float:
         """Relative jump of the live total energy from the value

@@ -25,6 +25,7 @@ from repro.md.particles import ParticleSystem, PeriodicBox
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.obs import validate as _validate
+from repro.util.state import COPY, Field, Stateful, fields
 
 
 class CellList:
@@ -68,7 +69,7 @@ class CellList:
         return np.unique(flat)
 
 
-class NeighborList:
+class NeighborList(Stateful):
     """Verlet half neighbor list with skin-based reuse.
 
     ``method`` selects the build kernel: ``"fast"`` (default) bins and
@@ -78,7 +79,18 @@ class NeighborList:
     loop, kept as the slow trusted implementation the fast path is
     tested against.  Both produce the same pair *set*; ordering may
     differ, which only permutes floating-point force summation.
+
+    The list is checkpoint state: its skin-reuse decision depends on
+    the reference positions, and a different pair ordering changes
+    force summation order — enough to break bit-for-bit replay.
     """
+
+    _STATE = (
+        *fields("pairs_i", "pairs_j", kind=COPY),
+        Field("x_ref", COPY, "_x_ref"),
+        Field("box_ref", COPY, "_box_ref"),
+        *fields("builds", "reuses"),
+    )
 
     def __init__(self, cutoff: float, skin: float = 0.3,
                  method: str = "fast"):

@@ -9,7 +9,6 @@ injected faults (:mod:`repro.resilience.driver`).
 """
 
 from repro.resilience.checkpoint import (
-    Checkpointable,
     CheckpointStore,
     snapshot,
     state_nbytes,
@@ -24,7 +23,6 @@ from repro.resilience.retry import (
 
 __all__ = [
     "CappedRetry",
-    "Checkpointable",
     "CheckpointStore",
     "ExponentialBackoff",
     "FaultInjector",

@@ -1,4 +1,4 @@
-"""Generic checkpoint protocol and the in-memory checkpoint store.
+"""The in-memory checkpoint store and crash-safe checkpoint writes.
 
 A *checkpointable* object exposes two methods::
 
@@ -9,9 +9,13 @@ The contract is strict: after ``restore_state``, re-running the same
 steps must reproduce the original trajectory bit-for-bit, so the
 snapshot must capture *everything* that feeds the computation —
 arrays, counters, cached forces, neighbor lists, and RNG states.
-The stepwise PCG/AMG solvers, :class:`~repro.md.ddcmd.DdcMD`, and
-:class:`~repro.workflow.mummi.MummiCampaign` all implement it; the
-property tests in ``tests/test_resilience.py`` enforce the contract.
+Every implementer in the package — the stepwise PCG/AMG solvers,
+:class:`~repro.md.ddcmd.DdcMD`, the scheduler session and its queues,
+:class:`~repro.workflow.mummi.MummiCampaign`, and the guard, fault,
+retry and tenant state they own — derives both methods from one
+schema of its fields (:mod:`repro.util.state`).  The property tests
+in ``tests/test_resilience.py`` and the completeness and layout tests
+in ``tests/test_state.py`` enforce the contract.
 
 :class:`CheckpointStore` keeps the latest snapshot (plus write
 accounting) and can price the write against a machine's NVMe — the
@@ -25,20 +29,11 @@ import copy
 import os
 import pickle
 from pathlib import Path
-from typing import Any, Dict, Optional, Protocol, Tuple, Union, runtime_checkable
+from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.machine import Machine
-
-
-@runtime_checkable
-class Checkpointable(Protocol):
-    """Anything that can snapshot and rewind its full live state."""
-
-    def checkpoint_state(self) -> Dict[str, Any]: ...
-
-    def restore_state(self, state: Dict[str, Any]) -> None: ...
 
 
 #: leaf types that are immutable and safe to share between snapshots

@@ -20,13 +20,11 @@ between an interrupted-and-restarted run and a fault-free one.
 
 from __future__ import annotations
 
-import copy
-from typing import Any, Dict, Optional
-
-import numpy as np
+from typing import Any, Optional
 
 from repro.core.machine import FaultSpec, Machine, YEAR_SECONDS
 from repro.util.rng import SeedLike, make_rng
+from repro.util.state import RNG, Field, Stateful
 
 
 def fault_spec_for(machine: Machine) -> FaultSpec:
@@ -51,7 +49,7 @@ def fault_spec_for(machine: Machine) -> FaultSpec:
     )
 
 
-class FaultInjector:
+class FaultInjector(Stateful):
     """Seeded source of hard-fault and SDC events.
 
     Exposes both interfaces the layers above need:
@@ -66,6 +64,8 @@ class FaultInjector:
     of a campaign checkpoint) so that restarting from a checkpoint
     replays the same downstream fault schedule.
     """
+
+    _STATE = (Field("rng", RNG),)
 
     def __init__(
         self,
@@ -133,11 +133,3 @@ class FaultInjector:
     def draw_sdc(self) -> bool:
         """Did a silent corruption land before the next step?"""
         return bool(self.rng.random() < self.sdc_per_step)
-
-    # -- checkpoint protocol -------------------------------------------
-
-    def checkpoint_state(self) -> Dict[str, Any]:
-        return {"rng": copy.deepcopy(self.rng.bit_generator.state)}
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self.rng.bit_generator.state = copy.deepcopy(state["rng"])

@@ -19,10 +19,11 @@ replayable under checkpoint/restart.
 
 from __future__ import annotations
 
-import copy
 import math
 import sys
-from typing import Any, Dict, Optional
+from typing import Optional
+
+from repro.util.state import RNG, Field, Stateful
 
 
 def _check_attempt(attempt: int) -> None:
@@ -61,7 +62,7 @@ class CappedRetry:
         return self.delay
 
 
-class ExponentialBackoff:
+class ExponentialBackoff(Stateful):
     """Re-queue after ``base * factor**(attempt-1)``, capped and bounded.
 
     The delay saturates at *max_delay* (or, with an infinite
@@ -78,7 +79,10 @@ class ExponentialBackoff:
     draws on every re-queue, so its RNG is event-loop state:
     :meth:`checkpoint_state`/:meth:`restore_state` save and rewind a
     Generator's state in place (the caller's Generator sees the
-    rewind) for the steppers that checkpoint a schedule.
+    rewind) for the steppers that checkpoint a schedule.  A policy
+    without jitter never draws: it names no state, and its
+    :meth:`checkpoint_state` is ``None``, so checkpoints carry no
+    entry for it.
     """
 
     def __init__(
@@ -109,6 +113,8 @@ class ExponentialBackoff:
         self.max_retries = max_retries
         self.jitter = jitter
         self.rng = rng
+        if jitter > 0.0:
+            self._STATE = (Field("rng", RNG),)
         # largest exponent for which base * factor**e stays finite;
         # beyond it the delay has long since saturated anyway
         if base > 0 and factor > 1.0:
@@ -135,15 +141,3 @@ class ExponentialBackoff:
                 self.rng.uniform(-1.0, 1.0)
             )
         return delay
-
-    # -- checkpoint protocol -------------------------------------------
-
-    def checkpoint_state(self) -> Optional[Dict[str, Any]]:
-        """The jitter Generator's state; ``None`` when the policy never
-        draws (no jitter), so such checkpoints carry no entry for it."""
-        if self.jitter == 0.0:
-            return None
-        return {"rng": copy.deepcopy(self.rng.bit_generator.state)}
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self.rng.bit_generator.state = copy.deepcopy(state["rng"])

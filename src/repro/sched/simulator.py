@@ -13,7 +13,6 @@ failure/retry counts and the GPU-time destroyed by faults.
 from __future__ import annotations
 
 import heapq
-from copy import copy
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -23,6 +22,14 @@ import numpy as np
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.obs import validate as _validate
+from repro.util.state import (
+    COPY,
+    NESTED,
+    Field,
+    Stateful,
+    checkpoint_of,
+    fields,
+)
 
 
 @dataclass(frozen=True)
@@ -171,10 +178,15 @@ class SimResult:
         return lost / total if total else 0.0
 
 
-class _ReferenceQueue:
+class _ReferenceQueue(Stateful):
     """List-backed queue driven by ``policy.select`` — the original
     engine, O(queue) work per event.  Handles arbitrary policies and
     sanitizes their indices (out-of-range / duplicates ignored)."""
+
+    # Jobs are frozen dataclasses, so shallow container copies are
+    # full snapshots — the durable layer pickles these states across
+    # process boundaries.
+    _STATE = (Field("items", COPY),)
 
     def __init__(self, policy):
         self.policy = policy
@@ -195,20 +207,11 @@ class _ReferenceQueue:
         ]
         return [self.items.pop(idx) for idx in picks[:n_free]]
 
-    # Jobs are frozen dataclasses, so shallow container copies are
-    # full snapshots — the durable layer pickles these states across
-    # process boundaries.
-    def checkpoint_state(self) -> Dict:
-        return {"items": list(self.items)}
-
-    def restore_state(self, state: Dict) -> None:
-        self.items = list(state["items"])
-
 
 _SEQ = itemgetter(1)
 
 
-class KeyedFastQueue:
+class KeyedFastQueue(Stateful):
     """Heap-ordered queue for policies whose selection is a total
     order over queued jobs (FCFS, SJF): O(log queue) per start
     instead of a full sort per event.
@@ -218,6 +221,8 @@ class KeyedFastQueue:
     reference runs are bit-identical, including fault victimization,
     which depends on the running-heap layout.
     """
+
+    _STATE = (Field("heap", COPY), Field("seq"))
 
     def __init__(self, key: Callable[[Job], Tuple]):
         self.key = key
@@ -241,20 +246,18 @@ class KeyedFastQueue:
         picked.sort(key=_SEQ, reverse=True)
         return [job for _, _, job in picked]
 
-    def checkpoint_state(self) -> Dict:
-        return {"heap": list(self.heap), "seq": self.seq}
 
-    def restore_state(self, state: Dict) -> None:
-        self.heap = list(state["heap"])
-        self.seq = state["seq"]
-
-
-class QuotaFastQueue:
+class QuotaFastQueue(Stateful):
     """Two lazy-deletion heaps implementing SJF-with-long-quota: long
     jobs ordered by arrival (the quota pulls the *oldest* long job),
     everything ordered by service (the SJF fill).  A long job lives in
     both heaps; the tombstone set lets whichever heap pops it first
     invalidate the other copy."""
+
+    _STATE = (
+        *fields("by_service", "long_by_arrival", "dead", kind=COPY),
+        *fields("seq", "n"),
+    )
 
     def __init__(self, n_gpus: int, long_quota: float):
         self.n_gpus = n_gpus
@@ -312,22 +315,6 @@ class QuotaFastQueue:
             picked.append(item)
         picked.sort(key=lambda t: -t[0])
         return [job for _, job in picked]
-
-    def checkpoint_state(self) -> Dict:
-        return {
-            "by_service": list(self.by_service),
-            "long_by_arrival": list(self.long_by_arrival),
-            "dead": set(self.dead),
-            "seq": self.seq,
-            "n": self.n,
-        }
-
-    def restore_state(self, state: Dict) -> None:
-        self.by_service = list(state["by_service"])
-        self.long_by_arrival = list(state["long_by_arrival"])
-        self.dead = set(state["dead"])
-        self.seq = state["seq"]
-        self.n = state["n"]
 
 
 def _build_queue(policy, engine: str, n_gpus: int):
@@ -398,7 +385,7 @@ class _StreamSource:
         return job
 
 
-class SimulatorSession:
+class SimulatorSession(Stateful):
     """The scheduler's event loop, resumable and checkpointable.
 
     :meth:`advance` is the one event loop every schedule runs through
@@ -861,52 +848,33 @@ class SimulatorSession:
 
     # -- checkpoint protocol -------------------------------------------
 
-    #: the loop's own state, named once: :meth:`checkpoint_state` saves
-    #: a shallow copy of each attribute and :meth:`restore_state` writes
-    #: each one back, so no field can be saved without being restored.
-    #: The queue, injector, admission controller and retry policy
-    #: checkpoint themselves.
-    _LOOP_STATE = (
-        "t", "events", "next_arrival", "requeues", "requeue_seq",
-        "running", "attempts", "starts", "finishes", "sheds",
-        "queue_series", "busy_time", "wasted_time", "dropped",
-        "failures", "retries", "next_fault", "_finished",
+    #: everything the event loop reads, named once: heaps, clocks and
+    #: the run record as shallow copies (Jobs are frozen dataclasses,
+    #: so a copied container is a full snapshot, and the whole dict
+    #: pickles for the durable layer), then the queue, injector and
+    #: admission checkpoints, plus a ``"retry"`` entry when the retry
+    #: policy draws from an RNG
+    _STATE = (
+        *fields(
+            "t", "events", "next_arrival", "requeues", "requeue_seq",
+            "running", "attempts", "starts", "finishes", "sheds",
+            "queue_series", "busy_time", "wasted_time", "dropped",
+            "failures", "retries", "next_fault", "_finished", kind=COPY,
+        ),
+        Field("queue", NESTED),
+        Field("injector", NESTED, "fault_injector"),
+        Field("admission", NESTED),
+        Field("retry", NESTED, "retry_policy", optional=True),
     )
 
     def checkpoint_state(self) -> Dict:
-        """Snapshot everything the event loop reads: heaps, queue,
-        clocks, the run record, and the injector/admission streams
-        (plus a ``"retry"`` entry when the retry policy draws from an
-        RNG).  Jobs are frozen dataclasses, so shallow container
-        copies are full snapshots, and the whole dict is picklable for
-        the durable layer."""
         if self._stream is not None:
             raise RuntimeError(
                 "streamed sessions are not checkpointable — the "
                 "generator's state cannot be snapshotted; capture the "
                 "stream to a trace and resume from the materialized jobs"
             )
-        state = {
-            name: copy(getattr(self, name)) for name in self._LOOP_STATE
-        }
-        state["queue"] = self.queue.checkpoint_state()
-        state["injector"] = checkpoint_of(self.fault_injector)
-        state["admission"] = checkpoint_of(self.admission)
-        retry = checkpoint_of(self.retry_policy)
-        if retry is not None:
-            state["retry"] = retry
-        return state
-
-    def restore_state(self, state: Dict) -> None:
-        for name in self._LOOP_STATE:
-            setattr(self, name, copy(state[name]))
-        self.queue.restore_state(state["queue"])
-        if self.fault_injector is not None and state["injector"] is not None:
-            self.fault_injector.restore_state(state["injector"])
-        if self.admission is not None and state["admission"] is not None:
-            self.admission.restore_state(state["admission"])
-        if "retry" in state:
-            self.retry_policy.restore_state(state["retry"])
+        return super().checkpoint_state()
 
 
 class ClusterSimulator:
@@ -1030,16 +998,6 @@ class ClusterSimulator:
                     f"reference {ref.makespan=} {ref.completed=}",
                 )
             return fast
-
-
-def checkpoint_of(owner) -> Optional[Dict]:
-    """*owner*'s ``checkpoint_state()``, or ``None`` when it is absent
-    or keeps no state (a stateless retry policy has no
-    ``checkpoint_state``; a jitter-free
-    :class:`~repro.resilience.retry.ExponentialBackoff` returns
-    ``None`` from it)."""
-    save = getattr(owner, "checkpoint_state", None)
-    return None if save is None else save()
 
 
 def _rewind(owners, states) -> None:

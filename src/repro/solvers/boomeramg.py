@@ -44,8 +44,9 @@ from repro.solvers.coarsen import (
 )
 from repro.solvers.csr import CsrMatrix
 from repro.solvers.interp import direct_interpolation
-from repro.solvers.krylov import ConvergenceInfo
+from repro.solvers.krylov import RESIDUAL_NORMS, ConvergenceInfo
 from repro.solvers.smoothers import l1_jacobi, weighted_jacobi
+from repro.util.state import COPY, Field, Stateful, fields
 
 
 @dataclass
@@ -290,7 +291,7 @@ class BoomerAMG:
         return apply
 
 
-class AmgSolve:
+class AmgSolve(Stateful):
     """One stand-alone AMG solve, advanced one V-cycle at a time.
 
     The cross-iteration state is just the iterate (the hierarchy is
@@ -298,6 +299,13 @@ class AmgSolve:
     residual history.  Restoring and replaying V-cycles reproduces the
     uninterrupted solve bit-for-bit — V-cycles are deterministic.
     """
+
+    _STATE = (
+        Field("x", COPY),
+        Field("it"),
+        Field("norms", RESIDUAL_NORMS),
+        *fields("done", "converged"),
+    )
 
     def __init__(
         self,
@@ -372,19 +380,6 @@ class AmgSolve:
         return self.x, self.info()
 
     # -- resilience protocol -------------------------------------------
-
-    def checkpoint_state(self) -> dict:
-        return {
-            "x": self.x.copy(), "it": self.it, "norms": np.asarray(self.norms),
-            "done": self.done, "converged": self.converged,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.x = state["x"].copy()
-        self.it = state["it"]
-        self.norms = [float(v) for v in state["norms"]]
-        self.done = state["done"]
-        self.converged = state["converged"]
 
     def abft_error(self) -> float:
         """Relative drift between the recorded and true residual norms."""

@@ -20,6 +20,7 @@ from repro.guard.sentinels import (
     default_monitor,
 )
 from repro.solvers.csr import CsrMatrix
+from repro.util.state import COPY, Field, Stateful, convert, fields
 
 Operator = Union[CsrMatrix, Callable[[np.ndarray], np.ndarray]]
 
@@ -50,7 +51,11 @@ class ConvergenceInfo:
         return self.residual_norms[-1] / self.residual_norms[0]
 
 
-class PcgSolver:
+#: a stepwise solver's residual history, checkpointed as one array
+RESIDUAL_NORMS = convert(np.asarray, lambda saved: [float(v) for v in saved])
+
+
+class PcgSolver(Stateful):
     """Stepwise preconditioned CG with checkpoint/restart support.
 
     Same numerics as :func:`pcg` (which is now a thin loop over this
@@ -61,6 +66,13 @@ class PcgSolver:
     residual norm against the true residual ``||b - Ax||`` — silent
     corruption of the iterate breaks their agreement.
     """
+
+    _STATE = (
+        *fields("x", "r", "p", kind=COPY),
+        *fields("rz", "it"),
+        Field("norms", RESIDUAL_NORMS),
+        *fields("done", "converged"),
+    )
 
     def __init__(
         self,
@@ -167,23 +179,6 @@ class PcgSolver:
         return ConvergenceInfo(self.converged, self.it, list(self.norms))
 
     # -- resilience protocol -------------------------------------------
-
-    def checkpoint_state(self) -> dict:
-        return {
-            "x": self.x.copy(), "r": self.r.copy(), "p": self.p.copy(),
-            "rz": self.rz, "it": self.it, "norms": np.asarray(self.norms),
-            "done": self.done, "converged": self.converged,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.x = state["x"].copy()
-        self.r = state["r"].copy()
-        self.p = state["p"].copy()
-        self.rz = state["rz"]
-        self.it = state["it"]
-        self.norms = [float(v) for v in state["norms"]]
-        self.done = state["done"]
-        self.converged = state["converged"]
 
     def abft_error(self) -> float:
         """Relative drift between recurrence and true residual norms."""

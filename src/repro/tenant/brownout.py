@@ -32,6 +32,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs import metrics as _metrics
+from repro.util.state import Field, Stateful, convert, fields
 
 __all__ = ["BrownoutLadder", "RUNGS"]
 
@@ -39,7 +40,7 @@ __all__ = ["BrownoutLadder", "RUNGS"]
 RUNGS: Tuple[str, ...] = ("admit", "defer", "degrade", "shed")
 
 
-class BrownoutLadder:
+class BrownoutLadder(Stateful):
     """Hysteretic rung selector over a measured load ratio.
 
     ``observe(ratio, now)`` escalates one rung when the ratio is at or
@@ -47,6 +48,15 @@ class BrownoutLadder:
     ``down_threshold``, and holds otherwise.  ``up_threshold`` must
     exceed ``down_threshold`` strictly — the gap *is* the hysteresis.
     """
+
+    #: the history's moves checkpoint as lists
+    _STATE = (
+        *fields("rung_index", "transitions"),
+        Field("history", convert(
+            lambda history: [list(move) for move in history],
+            lambda saved: [tuple(move) for move in saved],
+        )),
+    )
 
     def __init__(
         self,
@@ -96,22 +106,6 @@ class BrownoutLadder:
     def at_least(self, rung: str) -> bool:
         """Is the ladder at *rung* or worse?"""
         return self.rung_index >= RUNGS.index(rung)
-
-    # -- checkpoint protocol -------------------------------------------
-
-    def checkpoint_state(self) -> Dict[str, Any]:
-        return {
-            "rung_index": self.rung_index,
-            "transitions": self.transitions,
-            "history": [list(h) for h in self.history],
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self.rung_index = state["rung_index"]
-        self.transitions = state["transitions"]
-        self.history = [
-            (t, a, b, r) for t, a, b, r in state.get("history", [])
-        ]
 
     def describe(self) -> Dict[str, Any]:
         return {

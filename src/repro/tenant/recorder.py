@@ -34,6 +34,7 @@ from typing import Any, Deque, Dict, List, Optional, Union
 from repro.obs import metrics as _metrics
 from repro.traffic.driver import verify
 from repro.traffic.trace import TrafficTrace
+from repro.util.state import DEQUE, Field, Stateful
 
 __all__ = [
     "FlightRecorder",
@@ -43,8 +44,14 @@ __all__ = [
 ]
 
 
-class FlightRecorder:
-    """Bounded ring of admission/breaker/ladder transitions."""
+class FlightRecorder(Stateful):
+    """Bounded ring of admission/breaker/ladder transitions.
+
+    An event dict is never changed once :meth:`note` has appended it,
+    so a checkpoint's event list may share the dicts with the ring.
+    """
+
+    _STATE = (Field("events", DEQUE), Field("dropped"))
 
     def __init__(self, capacity: int = 256):
         if capacity < 1:
@@ -99,20 +106,6 @@ class FlightRecorder:
                                     sync=True, fingerprint=fingerprint)
         _metrics.counter("tenant.incidents_dumped").add()
         return trace
-
-    # -- checkpoint protocol -------------------------------------------
-
-    def checkpoint_state(self) -> Dict[str, Any]:
-        return {
-            "events": [dict(e) for e in self.events],
-            "dropped": self.dropped,
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self.events = deque(
-            (dict(e) for e in state["events"]), maxlen=self.capacity
-        )
-        self.dropped = state["dropped"]
 
 
 def record_incident(

@@ -36,6 +36,7 @@ from repro.tenant.arbiter import jain_index, water_fill
 from repro.tenant.brownout import BrownoutLadder
 from repro.tenant.recorder import FlightRecorder
 from repro.tenant.spec import TenancySpec
+from repro.util.state import DEQUE, NESTED, Field, Kind, Stateful, fields
 
 __all__ = ["TenantRegistry"]
 
@@ -61,11 +62,17 @@ def _trimmed_total(window: Deque[Tuple[float, float]], total: float,
     return total
 
 
-class _TenantState:
+class _TenantState(Stateful):
     """Live per-tenant machinery (controller, ladder, rate windows)."""
 
     __slots__ = ("spec", "controller", "ladder", "offered", "admitted",
                  "offered_total", "admitted_total", "shed_counter")
+
+    _STATE = (
+        *fields("controller", "ladder", kind=NESTED),
+        *fields("offered", "admitted", kind=DEQUE),
+        *fields("offered_total", "admitted_total"),
+    )
 
     def __init__(self, spec, ladder: BrownoutLadder):
         self.spec = spec
@@ -81,7 +88,17 @@ class _TenantState:
         self.admitted_total = 0.0
 
 
-class TenantRegistry:
+def _save_tenants(tenants):
+    return {name: s.checkpoint_state() for name, s in tenants.items()}
+
+
+def _restore_tenants(tenants, saved):
+    for name, state in saved.items():
+        tenants[name].restore_state(state)
+    return tenants
+
+
+class TenantRegistry(Stateful):
     """Shared-capacity fair-share admission over per-tenant guards."""
 
     #: protocol compatibility with AdmissionController consumers that
@@ -96,10 +113,16 @@ class TenantRegistry:
     #: recent admit(); :attr:`last_decision` expands it on demand
     _last = None
 
+    _STATE = (
+        Field("tenants", Kind(_save_tenants, _restore_tenants), "_tenants"),
+        Field("shed_log", DEQUE),
+        *fields("shed_count", "admitted"),
+        Field("recorder", NESTED),
+    )
+
     def __init__(self, spec: TenancySpec):
         self.spec = spec
         self.window = spec.window
-        self.arbiter_enabled = spec.arbiter_enabled
         self.recorder = FlightRecorder(capacity=spec.recorder_capacity)
         self._tenants: Dict[str, _TenantState] = {
             t.name: _TenantState(
@@ -116,14 +139,34 @@ class TenantRegistry:
             maxlen=4096
         )
         self.shed_count = 0
-        self.admitted = 0
-        #: anonymous-admit cell shared with the disabled fast path;
-        #: ``None`` means per-job counting goes through ``admitted``
-        self._fast_anon: Optional[list] = None
-        if self.arbiter_enabled:
+        #: admits of anonymous jobs, in a one-item cell the disabled
+        #: fast path's closure counts into (see :attr:`admitted`)
+        self._anon = [0]
+        if spec.arbiter_enabled:
             self._arbiter_tables()
         else:
             self._bind_disabled_fast_path()
+
+    @property
+    def arbiter_enabled(self) -> bool:
+        """Whether the fair-share arbiter runs: fixed by the frozen
+        spec, since the disabled fast path is bound at construction."""
+        return self.spec.arbiter_enabled
+
+    @property
+    def admitted(self) -> int:
+        """Jobs admitted so far: the anonymous ones plus each tenant
+        controller's own count."""
+        return self._anon[0] + sum(
+            s.controller.admitted for s in self._tenants.values()
+        )
+
+    @admitted.setter
+    def admitted(self, value: int) -> None:
+        # restore writes the total after the controllers' counts
+        self._anon[0] = value - sum(
+            s.controller.admitted for s in self._tenants.values()
+        )
 
     def _arbiter_tables(self) -> tuple:
         """``(names, states, weights, index)`` in sorted-name order.
@@ -169,17 +212,14 @@ class TenantRegistry:
         no registry at all — so the admit path adds one dict probe
         and nothing else.  Registry-side bookkeeping (global shed
         log, ``last_decision``, the per-tenant shed counter) happens
-        only on the rare shed, and the global ``admitted`` count is
-        folded back in lazily by :meth:`_sync_admitted` rather than
-        bumped per job.  ``admit`` stays correct without this
-        binding — the method body carries the same branch — so a
-        registry whose flag is flipped after construction merely
-        loses the shortcut, not the semantics.
+        only on the rare shed, and :attr:`admitted` sums the
+        controllers' own counts rather than a registry count bumped
+        per job.  This closure is the only arbiter-off admit path:
+        the class's :meth:`admit` is the arbiter's.
         """
         tenants = self._tenants
         shed_disabled = self._shed_disabled
-        anon = [0]
-        self._fast_anon = anon
+        anon = self._anon
         admits = {
             name: state.controller.admit
             for name, state in tenants.items()
@@ -296,26 +336,16 @@ class TenantRegistry:
 
     def admit(self, job, now: float, queue_len: int, n_running: int,
               n_gpus: int) -> bool:
+        """The arbiter's admit (with the arbiter off, the closure
+        :meth:`_bind_disabled_fast_path` binds stands in for it)."""
         tenant = getattr(job, "tenant", None)
         if tenant is None:
             # anonymous regime: no contract, no accounting, no shedding
-            self.admitted += 1
+            self._anon[0] += 1
             return True
         state = self._tenants.get(tenant)
         if state is None:
             raise ValueError(f"job from unknown tenant {tenant!r}")
-        if not self.arbiter_enabled:
-            # A/B mode: per-tenant guards only.  The sliding windows
-            # exist solely to feed the arbiter, so skip the rate
-            # bookkeeping entirely — this is what makes the disabled
-            # configuration nearly free (the bench gates it < 3%)
-            if state.controller.admit(job, now, queue_len, n_running,
-                                      n_gpus):
-                self.admitted += 1
-                return True
-            return self._shed_disabled(
-                state, job, tenant, state.controller.shed_log[-1][1]
-            )
         self._expire(now)
         state.offered.append((now, job.service))
         state.offered_total += job.service
@@ -325,7 +355,6 @@ class TenantRegistry:
             state.controller.admitted += 1
             state.admitted.append((now, job.service))
             state.admitted_total += job.service
-            self.admitted += 1
             return True
         return self._shed(state, job, now, tenant, reason)
 
@@ -521,57 +550,3 @@ class TenantRegistry:
             }
             for name, s in sorted(self._tenants.items())
         }
-
-    # -- checkpoint protocol -------------------------------------------
-
-    def _sync_admitted(self) -> None:
-        """Fold the fast path's distributed admit counts back into
-        ``admitted`` (the closure counts on each controller plus an
-        anonymous-job cell instead of touching this attribute per
-        job)."""
-        if self._fast_anon is not None:
-            self.admitted = self._fast_anon[0] + sum(
-                s.controller.admitted for s in self._tenants.values()
-            )
-
-    def checkpoint_state(self) -> Dict[str, Any]:
-        self._sync_admitted()
-        return {
-            "tenants": {
-                name: {
-                    "controller": s.controller.checkpoint_state(),
-                    "ladder": s.ladder.checkpoint_state(),
-                    "offered": list(s.offered),
-                    "admitted": list(s.admitted),
-                    "offered_total": s.offered_total,
-                    "admitted_total": s.admitted_total,
-                }
-                for name, s in self._tenants.items()
-            },
-            "shed_log": list(self.shed_log),
-            "shed_count": self.shed_count,
-            "admitted": self.admitted,
-            "recorder": self.recorder.checkpoint_state(),
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        for name, st in state["tenants"].items():
-            s = self._tenants[name]
-            s.controller.restore_state(st["controller"])
-            s.ladder.restore_state(st["ladder"])
-            s.offered = deque((t, v) for t, v in st["offered"])
-            s.admitted = deque((t, v) for t, v in st["admitted"])
-            s.offered_total = st["offered_total"]
-            s.admitted_total = st["admitted_total"]
-        self.shed_log = deque(
-            ((j, r) for j, r in state["shed_log"]), maxlen=4096
-        )
-        self.shed_count = state["shed_count"]
-        self.admitted = state["admitted"]
-        if self._fast_anon is not None:
-            # reconstruct the anonymous-admit cell so a later
-            # _sync_admitted() reproduces the checkpointed total
-            self._fast_anon[0] = self.admitted - sum(
-                s.controller.admitted for s in self._tenants.values()
-            )
-        self.recorder.restore_state(state["recorder"])

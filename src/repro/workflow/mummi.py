@@ -12,9 +12,8 @@ analysis summary back into the macro state.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,8 +23,17 @@ from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.par import Backend, ShmStage, get_backend, map_fanout
 from repro.sched.policies import Fcfs
-from repro.sched.simulator import ClusterSimulator, Job, checkpoint_of
+from repro.sched.simulator import ClusterSimulator, Job
 from repro.util.rng import make_rng
+from repro.util.state import (
+    COPY,
+    NESTED,
+    RNG,
+    Field,
+    Stateful,
+    convert,
+    fields,
+)
 
 
 def _micro_analysis(args):
@@ -83,8 +91,43 @@ class MicroResult:
     observable: float
 
 
-class MummiCampaign:
-    """Run macro/micro coupling cycles and account GPU throughput."""
+class MummiCampaign(Stateful):
+    """Run macro/micro coupling cycles and account GPU throughput.
+
+    The checkpoint is the full campaign: the macro field, both
+    Generators and the evaluation stream's spawn count, the
+    explored/novelty history, the accounting, the fault injector's
+    stream (so a restart replays the same downstream fault schedule)
+    and the guards' state — plus a ``"retry"`` entry when the retry
+    policy draws jitter from an RNG.
+    """
+
+    _STATE = (
+        Field("field", COPY, "macro.field"),
+        Field("macro_rng", RNG, "macro.rng"),
+        Field("rng", RNG),
+        # the evaluation stream restores by replaying its spawn count
+        Field("eval_stream", convert(
+            lambda seq: {"entropy": seq.entropy,
+                         "spawn_key": tuple(seq.spawn_key),
+                         "n_children_spawned": seq.n_children_spawned},
+            lambda saved: np.random.SeedSequence(**saved),
+        ), "_eval_root"),
+        Field("explored", COPY),
+        Field("results", convert(
+            lambda results: [(r.composition, r.observable)
+                             for r in results],
+            lambda saved: [MicroResult(composition=c, observable=o)
+                           for c, o in saved],
+        )),
+        *fields("gpu_hours", "wall_time", "cycles_done", "failures",
+                "job_retries", "jobs_shed", "cycles_over_budget"),
+        Field("rungs_served", COPY),
+        Field("wasted_gpu_hours"),
+        Field("injector", NESTED, "fault_injector"),
+        *fields("breaker", "admission", "ladder", kind=NESTED),
+        Field("retry", NESTED, "retry_policy", optional=True),
+    )
 
     def __init__(
         self,
@@ -362,95 +405,6 @@ class MummiCampaign:
     def step(self) -> Dict[str, float]:
         """One campaign cycle (the unit the resilient driver advances)."""
         return self.run_cycle()
-
-    def checkpoint_state(self) -> Dict[str, Any]:
-        """Snapshot the full campaign: macro field, both RNG streams,
-        the explored/novelty history, accounting, and the fault
-        injector's stream (so a restart replays the same downstream
-        fault schedule) — plus a ``"retry"`` entry when the retry
-        policy draws jitter from an RNG."""
-        state = {
-            "field": self.macro.field.copy(),
-            "macro_rng": copy.deepcopy(self.macro.rng.bit_generator.state),
-            "rng": copy.deepcopy(self.rng.bit_generator.state),
-            # the eval stream restores by replaying its spawn count
-            "eval_stream": {
-                "entropy": self._eval_root.entropy,
-                "spawn_key": tuple(self._eval_root.spawn_key),
-                "n_children_spawned": self._eval_root.n_children_spawned,
-            },
-            "explored": list(self.explored),
-            "results": [
-                (r.composition, r.observable) for r in self.results
-            ],
-            "gpu_hours": self.gpu_hours,
-            "wall_time": self.wall_time,
-            "cycles_done": self.cycles_done,
-            "failures": self.failures,
-            "job_retries": self.job_retries,
-            "jobs_shed": self.jobs_shed,
-            "cycles_over_budget": self.cycles_over_budget,
-            "rungs_served": list(self.rungs_served),
-            "wasted_gpu_hours": self.wasted_gpu_hours,
-            "injector": (
-                None if self.fault_injector is None
-                else self.fault_injector.checkpoint_state()
-            ),
-            "breaker": (
-                None if self.breaker is None
-                else self.breaker.checkpoint_state()
-            ),
-            "admission": (
-                None if self.admission is None
-                else self.admission.checkpoint_state()
-            ),
-            "ladder": (
-                None if self.ladder is None
-                else self.ladder.checkpoint_state()
-            ),
-        }
-        retry = checkpoint_of(self.retry_policy)
-        if retry is not None:
-            state["retry"] = retry
-        return state
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self.macro.field = state["field"].copy()
-        self.macro.rng.bit_generator.state = copy.deepcopy(
-            state["macro_rng"]
-        )
-        self.rng.bit_generator.state = copy.deepcopy(state["rng"])
-        ev = state.get("eval_stream")
-        if ev is not None:
-            self._eval_root = np.random.SeedSequence(
-                entropy=ev["entropy"],
-                spawn_key=tuple(ev["spawn_key"]),
-                n_children_spawned=ev["n_children_spawned"],
-            )
-        self.explored = list(state["explored"])
-        self.results = [
-            MicroResult(composition=c, observable=o)
-            for c, o in state["results"]
-        ]
-        self.gpu_hours = state["gpu_hours"]
-        self.wall_time = state["wall_time"]
-        self.cycles_done = state["cycles_done"]
-        self.failures = state["failures"]
-        self.job_retries = state["job_retries"]
-        self.jobs_shed = state.get("jobs_shed", 0)
-        self.cycles_over_budget = state.get("cycles_over_budget", 0)
-        self.rungs_served = list(state.get("rungs_served", []))
-        self.wasted_gpu_hours = state["wasted_gpu_hours"]
-        if self.fault_injector is not None and state["injector"] is not None:
-            self.fault_injector.restore_state(state["injector"])
-        if self.breaker is not None and state.get("breaker") is not None:
-            self.breaker.restore_state(state["breaker"])
-        if self.admission is not None and state.get("admission") is not None:
-            self.admission.restore_state(state["admission"])
-        if self.ladder is not None and state.get("ladder") is not None:
-            self.ladder.restore_state(state["ladder"])
-        if "retry" in state:
-            self.retry_policy.restore_state(state["retry"])
 
     #: composition values live in O(1) territory; anything near this
     #: bound can only come from corrupted state
