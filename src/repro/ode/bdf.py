@@ -220,8 +220,10 @@ class BdfIntegrator:
                 k_order = 2
 
             t_new = t + h
-            # predictor: extrapolation through history
-            if k_order == 1 or u_nm2 is None:
+            # predictor: linear extrapolation through history whenever
+            # there is any (at order 1 too, so the error estimate below
+            # is O(h^2), not O(h)); the first step has none
+            if u_nm2 is None:
                 u_pred = u_nm1.copy()
             else:
                 rho = h / h_prev

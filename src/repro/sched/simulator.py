@@ -54,12 +54,14 @@ class Job:
     tenant: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.arrival < 0 or self.service <= 0:
+        # written so that NaN fails too (every comparison with NaN is
+        # False); a NaN time would break the event heap's ordering
+        if not (self.arrival >= 0) or not (self.service > 0):
             raise ValueError("bad job times")
         # NOTE: arrival may legitimately exceed deadline — a fault
         # retry re-queues the job at the kill time, possibly past its
         # deadline, where admission control (if any) sheds it
-        if self.deadline is not None and self.deadline <= 0:
+        if self.deadline is not None and not (self.deadline > 0):
             raise ValueError("deadline must be positive")
 
 

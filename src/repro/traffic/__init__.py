@@ -8,7 +8,7 @@ synthesizes that regime — arrival processes
 :class:`~repro.traffic.arrivals.DiurnalArrivals`) over a lazily
 materialized :class:`~repro.traffic.population.UserPopulation` — and
 makes every experiment a recorded artifact: a
-:class:`~repro.traffic.trace.TrafficTrace` (JSONL in WAL framing)
+:class:`~repro.traffic.trace.TrafficTrace` (packed records in WAL framing)
 whose header carries the complete generator + driver configuration,
 so any run replays bit-exactly via
 :func:`~repro.traffic.driver.replay`, and every verifier checks it

@@ -149,9 +149,12 @@ def capture_main(argv) -> int:
     ap.add_argument("--policy", default="fcfs")
     ap.add_argument("--chaos-mtbf", type=float, default=400.0)
     ap.add_argument("--sync", action="store_true",
-                    help="fsync each frame as it is captured "
-                         "(per-frame durability)")
-    ap.add_argument("--flush-every", type=int, default=64)
+                    help="write and fsync each record in a frame of "
+                         "its own as it is captured (per-record "
+                         "durability)")
+    ap.add_argument("--flush-every", type=int, default=64,
+                    help="records per batch frame without --sync; a "
+                         "crash loses at most N-1 records")
     ap.add_argument("--no-decisions", action="store_true",
                     help="capture only the job stream")
     args = ap.parse_args(argv)

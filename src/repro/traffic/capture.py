@@ -9,9 +9,10 @@ configurations.  This module closes that gap:
 - :class:`CaptureTap` implements the
   :class:`~repro.sched.simulator.SimulatorSession` tap protocol and
   streams every offered job (plus shed/completion/fault decisions)
-  into a WAL-framed :class:`~repro.traffic.trace.TraceWriter`
-  **incrementally**, as the simulation offers them.  Killing the
-  process at any instant leaves a loadable committed prefix; a run
+  into a :class:`~repro.traffic.trace.TraceWriter` **incrementally**,
+  as the simulation offers them: the writer packs every
+  ``flush_every`` records into one WAL-framed batch frame.  Killing
+  the process at any instant leaves a loadable committed prefix; a run
   that completes seals the trace with the final
   :meth:`~repro.traffic.driver.TrafficReport.fingerprint`, making
   replay-vs-original divergence detectable.
@@ -44,22 +45,20 @@ class CaptureTap:
     """Session observer that records a live run into a trace file.
 
     ``on_job`` / ``on_decision`` are called from the simulator's hot
-    loop, so the tap stays cheap there.  With ``sync=False`` a frame
-    only reaches the OS at a flush boundary anyway (every
-    ``flush_every`` frames), so serialization is deferred to that same
-    boundary: the hooks just append the raw event to a pending list
-    and the JSON encode + WAL write happen in one burst per boundary
-    — crash-durability granularity is unchanged, and the ``ab_replay``
-    bench case gates the remaining streaming tax < 3% over the batch
-    write-then-run path producing the same artifact.  With
-    ``sync=True`` every frame is encoded, written, and fsynced
-    immediately: per-frame durability, because a live run's jobs are
-    not known in advance.  (Writers that hold the whole job list —
-    ``TrafficTrace.record``, incident dumps — group-commit it with one
-    fsync instead.)  ``decisions=False`` records only the job stream
-    — the instance publishes ``on_decision = None`` so the session's
-    hoisted hooks skip it entirely instead of paying a no-op call per
-    event.
+    loop, so the tap stays cheap there: each hands its record to the
+    :class:`~repro.traffic.trace.TraceWriter`, which queues it and
+    packs (``struct``, no JSON) and writes one frame per
+    ``flush_every`` records — the same bytes the batch write-then-run
+    path produces for the same records, and the ``ab_replay`` bench
+    case gates the streaming tax < 3% over that path.  With
+    ``sync=True`` every record is written and fsynced in a frame of
+    its own before the hook returns: per-record durability, because a
+    live run's jobs are not known in advance.
+    (Writers that hold the whole job list — ``TrafficTrace.record``,
+    incident dumps — group-commit it with one fsync instead.)
+    ``decisions=False`` records only the job stream — the instance
+    publishes ``on_decision = None`` so the session's hoisted hooks
+    skip it entirely instead of paying a no-op call per event.
     """
 
     def __init__(
@@ -75,36 +74,22 @@ class CaptureTap:
                                    sync=sync, flush_every=flush_every)
         self.path = Path(path)
         self.decisions = decisions
-        self.jobs_captured = 0
-        self._limit = 1 if sync else max(1, flush_every)
-        self._pending: list = []
         if not decisions:
             self.on_decision = None
 
     # -- tap protocol (called by SimulatorSession) ----------------------
 
     def on_job(self, job) -> None:
-        self._pending.append(job)
-        self.jobs_captured += 1
-        if len(self._pending) >= self._limit:
-            self._drain()
+        self._writer.append_job(job)
 
     def on_decision(self, kind: str, t: float, job_id: int) -> None:
-        self._pending.append((kind, t, job_id))
-        if len(self._pending) >= self._limit:
-            self._drain()
-
-    def _drain(self) -> None:
-        """Encode and append pending events, preserving event order."""
-        writer = self._writer
-        for item in self._pending:
-            if type(item) is tuple:
-                writer.append_decision(*item)
-            else:
-                writer.append_job(item)
-        self._pending.clear()
+        self._writer.append_decision(kind, t, job_id)
 
     # -- lifecycle ------------------------------------------------------
+
+    @property
+    def jobs_captured(self) -> int:
+        return self._writer.n_jobs
 
     @property
     def sealed(self) -> bool:
@@ -112,15 +97,12 @@ class CaptureTap:
 
     def seal(self, fingerprint: Optional[Dict[str, Any]] = None) -> None:
         """Commit the trailer: the capture is complete and verifiable."""
-        self._drain()
         self._writer.seal(fingerprint)
         _metrics.counter("traffic.captures_sealed").add()
         _metrics.counter("traffic.capture_jobs").add(self.jobs_captured)
 
     def close(self) -> None:
-        """Drain anything pending and close (without sealing)."""
-        if not self._writer.sealed and self._pending:
-            self._drain()
+        """Write the open batch and close (without sealing)."""
         self._writer.close()
 
     def __enter__(self) -> "CaptureTap":

@@ -316,6 +316,27 @@ class TestBdfChaosMatrix:
         assert r1 == r2
         assert v1 == v2
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_storm_served_by_order_drop_in_few_calls(self, seed):
+        """Once the storm has passed, the order-1 rung integrates the
+        healed RHS: its linear predictor keeps the error estimate
+        O(h^2), so it serves in under 2,000 RHS calls.  (A constant
+        predictor made it, and then the step-halving rung, exhaust
+        ``max_steps``: 600,000 calls before ``erk-rescue`` served.)"""
+        rhs, _ = self._storm_rhs(seed)
+        calls = [0]
+
+        def counted(t, u):
+            calls[0] += 1
+            return rhs(t, u)
+
+        with guard_override("strict"):
+            out = bdf_fallback_chain(counted, decay_lin).run(
+                0.0, np.array([1.0]), 1.0)
+        assert out.rung_name == "bdf-order-drop"
+        assert calls[0] < 2_000
+        assert out.value[1][-1] == pytest.approx(np.exp(-1.0), rel=1e-3)
+
     def test_healthy_serves_bdf2_bit_exact(self):
         from repro.ode.bdf import BdfIntegrator
 

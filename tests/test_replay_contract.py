@@ -6,10 +6,13 @@ Every verifier — ``verify_replay``, ``verify_incident``, the
 must agree with each other and with the recorded fingerprint.  Each
 failure branch is driven here on the four kinds of sealed trace the
 repo writes: a ``record_experiment`` trace, a batch capture, a
-streamed capture and a tenant incident dump.
+streamed capture and a tenant incident dump — and on two traces the
+version 2 writer left behind (``tests/data``), which must keep
+verifying.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -32,9 +35,14 @@ from repro.traffic import (
 )
 from repro.traffic.__main__ import main as traffic_main
 
-KINDS = ("recorded", "batch", "stream", "incident")
+DATA = Path(__file__).resolve().parent / "data"
+#: sealed version 2 traces: a batch capture with decisions, and a
+#: tenant-tagged incident dump
+V2_FIXTURES = {"v2-capture": DATA / "v2_capture.trace",
+               "v2-incident": DATA / "v2_incident.trace"}
+KINDS = ("recorded", "batch", "stream", "incident", *V2_FIXTURES)
 #: the kinds whose header carries the generator (process + population)
-GENERATED = ("recorded", "batch", "stream")
+GENERATED = ("recorded", "batch", "stream", "v2-capture")
 
 
 def _driver(horizon=None):
@@ -75,25 +83,29 @@ def _write(path, kind):
 def sealed(tmp_path_factory):
     """kind -> the bytes of one sealed trace of that kind."""
     root = tmp_path_factory.mktemp("sealed")
-    out = {}
+    out = {kind: path.read_bytes() for kind, path in V2_FIXTURES.items()}
     for kind in KINDS:
-        _write(root / f"{kind}.trace", kind)
-        out[kind] = (root / f"{kind}.trace").read_bytes()
+        if kind not in out:
+            _write(root / f"{kind}.trace", kind)
+            out[kind] = (root / f"{kind}.trace").read_bytes()
     return out
 
 
 def _rewrite(path, header=None, trailer=None):
     """Re-frame *path* with its header meta and/or trailer fingerprint
-    edited in place by the given callables."""
-    records = [json.loads(p) for p in read_records(path)]
+    edited in place by the given callables; the record frames between
+    them are copied through unchanged."""
+    frames = list(read_records(path))
+    head, tail = json.loads(frames[0]), json.loads(frames[-1])
     if header is not None:
-        header(records[0]["meta"])
+        header(head["meta"])
     if trailer is not None:
-        trailer(records[-1]["trailer"]["fingerprint"])
+        trailer(tail["trailer"]["fingerprint"])
     path.unlink()
     with WriteAheadLog(path, sync=False) as wal:
-        wal.append_many(json.dumps(r, sort_keys=True).encode()
-                        for r in records)
+        wal.append_many([json.dumps(head, sort_keys=True).encode(),
+                         *frames[1:-1],
+                         json.dumps(tail, sort_keys=True).encode()])
 
 
 def _doctor(fingerprint):
@@ -199,24 +211,45 @@ def test_each_verifier_loads_once(trace_path, monkeypatch):
     assert ab_runs.value - before[1] == 2
 
 
+def _tear_incident(raw, path):
+    """Write *raw* without its trailer and part of its last record
+    frame; return the lenient load of what survives."""
+    path.write_bytes(raw)
+    frames = [8 + len(p) for p in read_records(path)]
+    path.write_bytes(raw[:8 + sum(frames[:-2]) + 3])
+    torn = TrafficTrace.load(path, strict=False)
+    assert not torn.complete and "fingerprint" in torn.meta
+    return torn, len(frames)
+
+
 def test_torn_incident_is_held_to_self_consistency(sealed, tmp_path,
                                                    capsys):
     """A torn incident dump keeps the full run's fingerprint in its
     header; a replay of the surviving prefix must not be compared with
     it, or every torn dump would read as a divergence."""
     path = tmp_path / "incident-torn.trace"
-    path.write_bytes(sealed["incident"])
-    frames = [8 + len(p) for p in read_records(path)]
-    # lose the trailer and part of the last job frame
-    path.write_bytes(sealed["incident"][:8 + sum(frames[:-2]) + 3])
-    torn = TrafficTrace.load(path, strict=False)
-    assert not torn.complete and "fingerprint" in torn.meta
-    assert len(torn.jobs) == len(frames) - 3
+    torn, n_frames = _tear_incident(sealed["incident"], path)
+    # the dump packs 64 jobs per batch frame: every batch before the
+    # torn one survives whole, and nothing of the torn one
+    assert len(torn.jobs) == 64 * (n_frames - 3) > 0
     # strict load refuses it: bad input (2), not a divergence (1)
     assert traffic_main(["--replay", str(path)]) == 2
     err = capsys.readouterr().err
     assert "torn trace" in err and "Traceback" not in err
     assert traffic_main(["ab", str(path)]) == 2
+    assert traffic_main(["ab", str(path), "--allow-torn",
+                         "--variant", "sjf:policy=sjf"]) == 0
+    assert "self_consistent=True" in capsys.readouterr().out
+
+
+def test_torn_v2_incident_loses_one_job_frame(sealed, tmp_path, capsys):
+    """The version 2 incident dump keeps its one-frame-per-job torn
+    rule and the same exit codes."""
+    path = tmp_path / "v2-incident-torn.trace"
+    torn, n_frames = _tear_incident(sealed["v2-incident"], path)
+    assert torn.version == 2
+    assert len(torn.jobs) == n_frames - 3
+    assert traffic_main(["--replay", str(path)]) == 2
     assert traffic_main(["ab", str(path), "--allow-torn",
                          "--variant", "sjf:policy=sjf"]) == 0
     assert "self_consistent=True" in capsys.readouterr().out

@@ -19,6 +19,21 @@ class TestJob:
         with pytest.raises(ValueError):
             Job(0, arrival=0.0, service=0.0)
 
+    def test_nan_times_rejected(self):
+        """NaN slips past ``<``/``<=`` tests (every NaN comparison is
+        False); a NaN arrival would corrupt the event heap's order."""
+        nan = float("nan")
+        with pytest.raises(ValueError, match="bad job times"):
+            Job(0, arrival=nan, service=1.0)
+        with pytest.raises(ValueError, match="bad job times"):
+            Job(0, arrival=0.0, service=nan)
+        with pytest.raises(ValueError, match="deadline must be positive"):
+            Job(0, arrival=0.0, service=1.0, deadline=nan)
+        # the edges that stay valid
+        Job(0, arrival=-0.0, service=5e-324, deadline=5e-324)
+        Job(0, arrival=float("inf"), service=float("inf"),
+            deadline=float("inf"))
+
 
 class TestSimulatorConservation:
     """Event-simulator invariants: no job lost, capacity respected."""

@@ -3,9 +3,11 @@ simulated user population, trace record/replay, and the driver's
 bit-exact replay contract (shed reasons, guard counters, completion
 order) with chaos and admission shedding active."""
 
+import hashlib
 import itertools
 import json
 import os
+import struct
 import subprocess
 import sys
 import time
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.durable.wal import WriteAheadLog, read_records
 from repro.sched.simulator import Job
 from repro.sched.workloads import draw_services, jobs_from_arrivals
 from repro.traffic import (
@@ -312,6 +315,30 @@ class TestUserPopulation:
             UserPopulation.from_description(desc)
 
 
+def _json_record(job):
+    """A job as the one-frame JSON record of trace versions 1 and 2."""
+    rec = {"id": job.job_id, "arrival": job.arrival,
+           "service": job.service, "is_long": job.is_long,
+           "priority": job.priority, "deadline": job.deadline}
+    if job.tenant is not None:
+        rec["tenant"] = job.tenant
+    return rec
+
+
+def _write_json_trace(path, version, jobs, meta, fingerprint=None):
+    """A version 1 or 2 trace laid out as those writers did: a header,
+    one JSON frame per job and, from version 2, a sealed trailer."""
+    frames = [{"format": "repro-traffic-trace", "version": version,
+               "n_jobs": len(jobs), "meta": meta}]
+    frames += [_json_record(job) for job in jobs]
+    if version >= 2:
+        frames.append({"trailer": {"n_jobs": len(jobs),
+                                   "fingerprint": fingerprint}})
+    with WriteAheadLog(path, sync=False) as wal:
+        for frame in frames:
+            wal.append(json.dumps(frame, sort_keys=True).encode())
+
+
 class TestTrafficTrace:
     def _jobs(self, n=40):
         pop = UserPopulation(n_users=1_000, seed=0)
@@ -331,9 +358,7 @@ class TestTrafficTrace:
         assert loaded.jobs == jobs
 
     def test_torn_tail_truncates(self, tmp_path):
-        from repro.durable.wal import read_records
-
-        jobs = self._jobs()
+        jobs = self._jobs(150)
         path = tmp_path / "t.trace"
         TrafficTrace.record(path, jobs)
         raw = path.read_bytes()
@@ -346,33 +371,45 @@ class TestTrafficTrace:
         assert not partial.complete
         assert partial.fingerprint is None
         assert partial.jobs == jobs
-        # tear into the last job frame too: the committed prefix loses
-        # exactly that job
+        # header, batch frames of 64, 64 and 22 jobs, trailer: tear
+        # into the last batch frame too, and the committed prefix
+        # loses exactly that batch's jobs
         frames = [8 + len(p) for p in read_records(path)]
+        assert len(frames) == 4
         path.write_bytes(raw[: 8 + sum(frames[:-1]) + 3])
         partial = TrafficTrace.load(path, strict=False)
         assert not partial.complete
-        assert len(partial) == len(jobs) - 1
+        assert partial.jobs == jobs[:128]
+
+    def test_v2_torn_tail_truncates(self, tmp_path):
+        """A version 2 trace keeps its one-frame-per-job torn rule."""
+        jobs = self._jobs()
+        path = tmp_path / "v2.trace"
+        _write_json_trace(path, 2, jobs, {"note": "v2"},
+                          fingerprint={"completed": 1})
+        loaded = TrafficTrace.load(path)
+        assert loaded.version == 2 and loaded.complete
+        assert loaded.jobs == jobs and loaded.fingerprint == {"completed": 1}
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-7])
+        with pytest.raises(ValueError, match="torn"):
+            TrafficTrace.load(path)
+        partial = TrafficTrace.load(path, strict=False)
+        assert not partial.complete and partial.fingerprint is None
+        assert partial.jobs == jobs
+        # tear into the last job frame: the prefix loses exactly that job
+        frames = [8 + len(p) for p in read_records(path)]
+        path.write_bytes(raw[: 8 + sum(frames[:-1]) + 3])
+        partial = TrafficTrace.load(path, strict=False)
         assert partial.jobs == jobs[:-1]
 
     def test_v1_format_compat(self, tmp_path):
         # traces recorded before the trailer format (v1: header with
         # n_jobs, job frames, no trailer) must keep loading, with the
         # old completeness rule
-        import json as _json
-
-        from repro.durable.wal import WriteAheadLog
-        from repro.traffic.trace import _job_record
-
         jobs = self._jobs()
         path = tmp_path / "v1.trace"
-        with WriteAheadLog(path, sync=False) as wal:
-            header = {"format": "repro-traffic-trace", "version": 1,
-                      "n_jobs": len(jobs), "meta": {"note": "legacy"}}
-            wal.append(_json.dumps(header, sort_keys=True).encode())
-            for job in jobs:
-                wal.append(_json.dumps(_job_record(job),
-                                       sort_keys=True).encode())
+        _write_json_trace(path, 1, jobs, {"note": "legacy"})
         loaded = TrafficTrace.load(path)
         assert loaded.complete
         assert loaded.version == 1
@@ -389,8 +426,6 @@ class TestTrafficTrace:
         assert partial.jobs == jobs[:-1]
 
     def test_rejects_non_trace(self, tmp_path):
-        from repro.durable.wal import WriteAheadLog
-
         path = tmp_path / "w.wal"
         with WriteAheadLog(path) as wal:
             wal.append(b'{"format": "something-else"}')
@@ -411,18 +446,42 @@ class TestGroupCommittedRecord:
     _jobs = TestTrafficTrace._jobs
     _fingerprint = {"completed": 3, "shed_log": [[1, "queue_saturated"]]}
 
-    def test_sync_bytes_match_per_frame_writer(self, tmp_path):
-        jobs = self._jobs(50)
+    def test_sync_bytes_match_per_frame_writer(self, tmp_path,
+                                               fsync_calls):
+        jobs = self._jobs(150)
         meta = {"note": "group", "x": 0.1}
+
+        def per_record(path, sync):
+            writer = TraceWriter(path, meta=meta, n_jobs=len(jobs),
+                                 sync=sync)
+            for job in jobs:
+                writer.append_job(job)
+            writer.seal(self._fingerprint)
+
+        # unsynced, both pack 64 jobs per frame: the same bytes
         TrafficTrace.record(tmp_path / "batch.trace", jobs, meta=meta,
-                            sync=True, fingerprint=self._fingerprint)
-        writer = TraceWriter(tmp_path / "frames.trace", meta=meta,
-                             n_jobs=len(jobs), sync=True)
-        for job in jobs:
-            writer.append_job(job)
-        writer.seal(self._fingerprint)
+                            fingerprint=self._fingerprint)
+        per_record(tmp_path / "frames.trace", sync=False)
         assert (tmp_path / "batch.trace").read_bytes() \
             == (tmp_path / "frames.trace").read_bytes()
+        # synced, a live append is a one-record frame while the group
+        # commit still packs 64: the same trace, fewer fsyncs
+        fsync_calls[0] = 0
+        TrafficTrace.record(tmp_path / "batch-sync.trace", jobs,
+                            meta=meta, sync=True,
+                            fingerprint=self._fingerprint)
+        assert fsync_calls[0] == 5
+        fsync_calls[0] = 0
+        per_record(tmp_path / "frames-sync.trace", sync=True)
+        # file + directory entry, header, each job, the trailer
+        assert fsync_calls[0] == 4 + len(jobs)
+        batch = TrafficTrace.load(tmp_path / "batch-sync.trace")
+        frames = TrafficTrace.load(tmp_path / "frames-sync.trace")
+        assert batch.jobs == frames.jobs == jobs
+        assert batch.meta == frames.meta == meta
+        assert batch.fingerprint == frames.fingerprint == self._fingerprint
+        assert (tmp_path / "batch-sync.trace").read_bytes() \
+            == (tmp_path / "batch.trace").read_bytes()
 
     def test_sync_fsyncs_independent_of_job_count(self, tmp_path,
                                                   fsync_calls):
@@ -449,6 +508,308 @@ class TestGroupCommittedRecord:
         # one more for the trailer; flush/close owe nothing after it
         assert fsync_calls[0] == 4 + len(jobs)
         assert TrafficTrace.load(tmp_path / "live.trace").jobs == jobs
+
+
+INT64 = st.integers(-2**63, 2**63 - 1)
+#: non-negative floats the Job accepts, -0.0, subnormals and
+#: infinity included
+TIMES = st.one_of(st.just(-0.0), st.just(5e-324),
+                  st.floats(min_value=0.0, allow_nan=False))
+
+
+@st.composite
+def _job(draw):
+    return Job(
+        job_id=draw(INT64),
+        arrival=draw(TIMES),
+        service=draw(st.one_of(
+            st.just(5e-324), st.just(1.7976931348623157e308),
+            st.floats(min_value=0.0, exclude_min=True, allow_nan=False),
+        )),
+        is_long=draw(st.booleans()),
+        priority=draw(INT64),
+        deadline=draw(st.one_of(st.none(), st.floats(
+            min_value=0.0, exclude_min=True, allow_nan=False))),
+        tenant=draw(st.one_of(st.none(), st.just(""), st.just("tenänt-é"),
+                              st.text(max_size=8))),
+    )
+
+
+@st.composite
+def _records(draw):
+    """Jobs and decisions interleaved: ``("job", Job)`` or
+    ``("decision", (kind, t, id))``."""
+    out = []
+    for _ in range(draw(st.integers(0, 24))):
+        if draw(st.booleans()):
+            out.append(("job", draw(_job())))
+        else:
+            out.append(("decision", (
+                draw(st.one_of(st.sampled_from(["shed", "complete",
+                                                "fault"]),
+                               st.text(max_size=6))),
+                draw(st.floats(allow_nan=False)),
+                draw(INT64),
+            )))
+    return out
+
+
+def _bits(jobs):
+    """Each job's fields, floats by their bits (``-0.0 != 0.0``)."""
+    def exact(x):
+        return None if x is None else struct.pack("<d", x)
+
+    return [(j.job_id, exact(j.arrival), exact(j.service), j.is_long,
+             j.priority, exact(j.deadline), j.tenant) for j in jobs]
+
+
+class TestTraceV3:
+    """Version 3: jobs and decisions packed into one CRC frame per
+    ``flush_every`` records."""
+
+    _jobs = TestTrafficTrace._jobs
+
+    @settings(max_examples=60, deadline=None)
+    @given(records=_records(), flush_every=st.integers(1, 5))
+    @example(records=[
+        ("job", Job(-2**63, -0.0, 5e-324, True, 2**63 - 1, None, "é")),
+        ("decision", ("shed", -0.0, 2**63 - 1)),
+        ("job", Job(2**63 - 1, 1e308, float("inf"), False, -2**63,
+                    5e-324, "")),
+        ("decision", ("", 0.5, -2**63)),
+    ], flush_every=1)
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, records,
+                                     flush_every):
+        """Record, capture and per-record writes all load back ``==``
+        jobs (bit for bit) and decisions equal to a version 2 load."""
+        root = tmp_path_factory.mktemp("v3")
+        jobs = [r for kind, r in records if kind == "job"]
+        decisions = [{"d": r[0], "id": r[2], "t": r[1]}
+                     for kind, r in records if kind == "decision"]
+        TrafficTrace.record(root / "record.trace", jobs,
+                            fingerprint={"n": len(jobs)})
+        tap = CaptureTap(root / "capture.trace", flush_every=flush_every)
+        for kind, rec in records:
+            if kind == "job":
+                tap.on_job(rec)
+            else:
+                tap.on_decision(*rec)
+        tap.seal({"n": len(jobs)})
+        tap.close()
+        recorded = TrafficTrace.load(root / "record.trace")
+        captured = TrafficTrace.load(root / "capture.trace")
+        for trace in (recorded, captured):
+            assert trace.version == 3 and trace.complete
+            assert trace.jobs == jobs
+            assert _bits(trace.jobs) == _bits(jobs)
+            assert trace.fingerprint == {"n": len(jobs)}
+        assert captured.decisions == decisions
+        assert [list(d) for d in captured.decisions] \
+            == [["d", "id", "t"]] * len(decisions)
+        assert [struct.pack("<d", d["t"]) for d in captured.decisions] \
+            == [struct.pack("<d", d["t"]) for d in decisions]
+
+    def test_every_cut_keeps_whole_batches(self, tmp_path):
+        """Cut a v3 trace at every byte: the lenient load holds exactly
+        the records of the batch frames before the cut, and the strict
+        load raises."""
+        jobs = self._jobs(11)
+        records = []  # jobs and decisions in append order
+        path = tmp_path / "whole.trace"
+        writer = TraceWriter(path, meta={"case": "cut"},
+                             n_jobs=len(jobs), flush_every=4)
+        for k, job in enumerate(jobs):
+            writer.append_job(job)
+            records.append(job)
+            if k % 3 == 0:
+                writer.append_decision("shed", job.arrival, job.job_id)
+                records.append({"d": "shed", "id": job.job_id,
+                                "t": job.arrival})
+        writer.seal({"completed": 0})
+        whole = path.read_bytes()
+        sizes = [8 + len(p) for p in read_records(path)]
+        # header, ceil(15 / 4) batch frames, trailer
+        assert len(sizes) == 1 + 4 + 1
+        ends = list(itertools.accumulate(sizes, initial=8))[1:]
+        cut_path = tmp_path / "cut.trace"
+        for cut in range(len(whole)):
+            cut_path.write_bytes(whole[:cut])
+            with pytest.raises(ValueError):
+                TrafficTrace.load(cut_path)
+            if cut < ends[0]:
+                continue  # no whole header: not a trace
+            batches = sum(end <= cut for end in ends[1:-1])
+            kept = records[:4 * batches]
+            prefix = TrafficTrace.load(cut_path, strict=False)
+            assert not prefix.complete and prefix.fingerprint is None
+            assert prefix.jobs == [r for r in kept if isinstance(r, Job)]
+            assert prefix.decisions == [r for r in kept
+                                        if isinstance(r, dict)]
+
+    @pytest.mark.parametrize("bad", [
+        {"job_id": 2**63}, {"job_id": -2**63 - 1},
+        {"priority": 2**63}, {"priority": -2**63 - 1},
+        {"tenant": 7}, {"tenant": ("a",)}, {"tenant": "x" * 65536},
+        {"tenant": "new", "job_id": 2**63},
+    ])
+    def test_unfit_record_raises_and_writes_nothing(self, tmp_path, bad):
+        jobs = self._jobs(100)
+        base = jobs[70]
+        # bypass the constructor's checks: the writer must refuse what
+        # the layout cannot hold, not rely on the Job being valid
+        wrong = Job(base.job_id, base.arrival, base.service, base.is_long,
+                    base.priority, base.deadline, base.tenant)
+        for name, value in bad.items():
+            object.__setattr__(wrong, name, value)
+        poisoned = jobs[:70] + [wrong] + jobs[71:]
+        # a group commit refuses the whole call and leaves the writer
+        # as it was
+        for sync in (False, True):
+            paths = []
+            for poison in (True, False):
+                path = tmp_path / f"{poison}-{sync}.trace"
+                writer = TraceWriter(path, n_jobs=len(jobs), sync=sync)
+                writer.append_jobs(jobs[:5])
+                writer.append_job(jobs[5])
+                before = path.read_bytes()
+                if poison:
+                    with pytest.raises(ValueError):
+                        writer.append_jobs(poisoned)
+                    assert path.read_bytes() == before
+                    assert writer.n_jobs == 6
+                writer.append_jobs(jobs[6:])
+                writer.seal(None)
+                paths.append(path)
+            assert TrafficTrace.load(paths[0]).jobs == jobs
+            assert paths[0].read_bytes() == paths[1].read_bytes()
+        path = tmp_path / "record.trace"
+        with pytest.raises(ValueError):
+            TrafficTrace.record(path, poisoned)
+        with pytest.raises(ValueError, match="no sealed trailer"):
+            TrafficTrace.load(path)
+        # a live append raises where its batch is packed: nothing of
+        # that batch reaches the file, the batches before it do, and
+        # the trace never loads as complete
+        tap = CaptureTap(tmp_path / "tap.trace", flush_every=4)
+        for job in jobs[:8] + [wrong] + jobs[8:10]:
+            tap.on_job(job)
+        before = (tmp_path / "tap.trace").read_bytes()
+        with pytest.raises(ValueError):
+            tap.on_job(jobs[10])
+        assert (tmp_path / "tap.trace").read_bytes() == before
+        tap.on_job(jobs[11])
+        tap.seal(None)
+        with pytest.raises(ValueError, match="torn"):
+            TrafficTrace.load(tmp_path / "tap.trace")
+        prefix = TrafficTrace.load(tmp_path / "tap.trace", strict=False)
+        assert prefix.jobs == jobs[:8] + jobs[11:12]
+        # with sync the bad append itself raises
+        writer = TraceWriter(tmp_path / "sync.trace", sync=True)
+        before = (tmp_path / "sync.trace").read_bytes()
+        with pytest.raises(ValueError):
+            writer.append_job(wrong)
+        assert (tmp_path / "sync.trace").read_bytes() == before
+        writer.close()
+
+    @pytest.mark.parametrize("args", [
+        (None, 1.0, 1), (["shed"], 1.0, 1), ("shed", 1.0, 2**63),
+        ("shed", "1.0", 1), ("k" * 65536, 1.0, 1),
+    ])
+    def test_unfit_decision_raises(self, tmp_path, args):
+        writer = TraceWriter(tmp_path / "d.trace", flush_every=1)
+        before = (tmp_path / "d.trace").read_bytes()
+        with pytest.raises(ValueError):
+            writer.append_decision(*args)
+        assert (tmp_path / "d.trace").read_bytes() == before
+        writer.close()
+
+    @pytest.mark.parametrize("flush_every", [1, 7, 64, 1000])
+    def test_write_paths_give_identical_bytes(self, tmp_path, flush_every):
+        """A per-record loop, ``append_jobs`` and a live
+        ``decisions=False`` tap on a real run write the same bytes."""
+        jobs = generate_jobs(PoissonArrivals(rate=0.55), _population(),
+                             150)
+        tap = CaptureTap(tmp_path / "tap.trace", n_jobs=len(jobs),
+                         decisions=False, flush_every=flush_every)
+        fingerprint = _driver().run(jobs, tap=tap).fingerprint()
+        tap.seal(fingerprint)
+        tap.close()
+
+        def written(name, write):
+            writer = TraceWriter(tmp_path / name, n_jobs=len(jobs),
+                                 flush_every=flush_every)
+            write(writer)
+            writer.seal(fingerprint)
+            return (tmp_path / name).read_bytes()
+
+        loop = written("loop.trace",
+                       lambda w: [w.append_job(job) for job in jobs])
+        group = written("group.trace", lambda w: w.append_jobs(jobs))
+        split = written("split.trace", lambda w: (
+            w.append_jobs(jobs[:33]), w.append_job(jobs[33]),
+            w.append_jobs(jobs[34:])))
+        assert loop == group == split == (tmp_path / "tap.trace").read_bytes()
+        assert len(list(read_records(tmp_path / "loop.trace"))) \
+            == 2 + -(-len(jobs) // flush_every)
+
+    def test_v3_trace_is_smaller_than_json_frames(self, tmp_path):
+        jobs = self._jobs(200)
+        TrafficTrace.record(tmp_path / "v3.trace", jobs)
+        _write_json_trace(tmp_path / "v2.trace", 2, jobs, {})
+        assert (tmp_path / "v3.trace").stat().st_size \
+            < (tmp_path / "v2.trace").stat().st_size / 2
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _jobs_digest(jobs):
+    rows = [[j.job_id, j.arrival.hex(), j.service.hex(), j.is_long,
+             j.priority, None if j.deadline is None else j.deadline.hex(),
+             j.tenant] for j in jobs]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def _digest(obj):
+    return hashlib.sha256(
+        json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+class TestV2Fixtures:
+    """Traces the version 2 writer wrote keep loading and replaying.
+
+    ``v2_capture.trace``: ``capture_experiment`` of 40 Poisson (rate
+    0.3, arrival seed 3) jobs from a 2,000-user population (seed 3) on
+    2 GPUs, breaker admission (queue 4) and chaos (MTBF 60, seed 3),
+    decisions on.  ``v2_incident.trace``: ``record_incident`` of
+    ``multitenant_pileup(n_gpus=4, n_compliant=2, noisy_factor=4.0,
+    n_jobs_per_tenant=10, seed=5, window=10.0)``.  Digests were taken
+    when the fixtures were written.
+    """
+
+    PINS = {
+        "v2_capture.trace": (
+            40, 44,
+            "da5bc37651805a0d3eb10a22127522cee6813b912611344c08a5eed319427c60",
+            "365d2748ea173d2e3cb93b6b0880849631d763375e9fbc735a2ab3cde0e677b6",
+        ),
+        "v2_incident.trace": (
+            30, 0,
+            "3b8a3bb3d4e9e307d3a7c9bffcde06a1b1dc70453902d292068bd12c5158b84f",
+            "35841fcbc060087d8527f0020d17e749f633720ed87a2a22fca8332b828391e3",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_fixture_loads_and_replays(self, name):
+        n_jobs, n_decisions, jobs_digest, fp_digest = self.PINS[name]
+        trace = TrafficTrace.load(DATA / name)
+        assert trace.version == 2 and trace.complete
+        assert len(trace.jobs) == n_jobs
+        assert len(trace.decisions) == n_decisions
+        assert _jobs_digest(trace.jobs) == jobs_digest
+        assert _digest(trace.fingerprint) == fp_digest
+        assert verify_replay(DATA / name).fingerprint() == trace.fingerprint
 
 
 def _driver(n_gpus=4, horizon=None):
