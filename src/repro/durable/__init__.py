@@ -9,9 +9,10 @@ and RNG state.  This package makes the kill survivable:
 - :class:`~repro.durable.wal.WriteAheadLog` — CRC32-framed append-only
   journal: fsync-on-commit, torn-tail truncation on open, atomic
   rename rotation.
-- :class:`~repro.durable.store.DurableStore` — snapshot + incremental
-  journal layered under the existing ``CheckpointStore``; recovery is
-  load-snapshot-then-replay-journal, idempotent under duplicates.
+- :class:`~repro.durable.store.DurableStore` — an on-disk snapshot
+  plus an incremental journal, with no in-memory copy of the state;
+  recovery is load-snapshot-then-replay-journal, idempotent under
+  duplicates.
 - :class:`~repro.durable.campaign.ResumableCampaign` — drives any
   checkpointable stepper so the process can be SIGKILLed at any
   instant and a restart resumes bit-exactly (same final metrics and

@@ -151,7 +151,7 @@ class ResumableCampaign:
                 self.store.journal(progress, payload)
                 self._last_journaled = progress
                 self.steps_committed += 1
-            if progress % self.cadence == 0 and progress > self.store.store.step:
+            if progress % self.cadence == 0 and progress > self.store.step:
                 self.store.save_snapshot(
                     progress, payload if payload is not None
                     else self._payload(),

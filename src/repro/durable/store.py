@@ -1,8 +1,8 @@
 """Snapshot + incremental-journal persistent state store.
 
-:class:`DurableStore` layers the :class:`~repro.durable.wal.WriteAheadLog`
-under the existing in-memory
-:class:`~repro.resilience.checkpoint.CheckpointStore`:
+:class:`DurableStore` keeps a stepper's state in two files under one
+directory, a snapshot and a :class:`~repro.durable.wal.WriteAheadLog`
+journal; it holds no copy of the state in memory:
 
 - a **snapshot** is the full state at some step, written crash-safely
   via :func:`~repro.resilience.checkpoint.atomic_write_bytes` (tmp
@@ -15,7 +15,9 @@ under the existing in-memory
   in order, applying only records that advance the step — so
   duplicate records (a resubmitted step journaled twice) and stale
   records (a crash between snapshot commit and journal rotation) are
-  both idempotent no-ops.
+  both idempotent no-ops.  The recovered payload is the unpickled
+  object itself, handed over without a defensive copy: nothing else
+  holds a reference to it.
 
 Payloads are opaque to the store; the campaign layer puts a full
 ``checkpoint_state()`` dict (plus its observability counters) in each
@@ -29,7 +31,7 @@ from pathlib import Path
 from typing import Any, Optional, Tuple, Union
 
 from repro.obs import metrics as _metrics
-from repro.resilience.checkpoint import CheckpointStore, atomic_write_bytes
+from repro.resilience.checkpoint import atomic_write_bytes
 from repro.durable.wal import WriteAheadLog
 
 SNAPSHOT_NAME = "snapshot.ckpt"
@@ -52,9 +54,9 @@ class DurableStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self.snapshot_path = self.root / SNAPSHOT_NAME
         self.sync = sync
-        #: in-memory latest (the layer the resilient driver already
-        #: knows); its save/load accounting keeps working unchanged
-        self.store = CheckpointStore()
+        #: step of the newest state this handle wrote as a snapshot or
+        #: recovered (-1 before either)
+        self.step = -1
         self.wal = WriteAheadLog(self.root / JOURNAL_NAME, sync=sync)
         self.snapshots_written = 0
         self.records_journaled = 0
@@ -76,9 +78,9 @@ class DurableStore:
             {"step": step, "state": payload},
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-        self.store.save(step, payload, copy=False, nbytes=len(blob))
         atomic_write_bytes(self.snapshot_path, blob, sync=self.sync)
         self.wal.rotate()
+        self.step = step
         self.snapshots_written += 1
         _metrics.counter("durable.snapshots").add()
 
@@ -102,12 +104,18 @@ class DurableStore:
         duplicates and stale pre-snapshot records.  An empty or
         missing journal (first boot, crash before the first commit)
         recovers to the snapshot alone; no snapshot and no records
-        means a fresh store.
+        means a fresh store.  A stray ``.tmp`` left by a kill
+        mid-snapshot is never trusted, and is removed.
         """
         step = -1
         payload: Any = None
+        tmp = self.snapshot_path.with_name(self.snapshot_path.name + ".tmp")
+        if tmp.exists():
+            tmp.unlink()
         if self.snapshot_path.exists():
-            step, payload = self.store.load_from(self.snapshot_path)
+            with open(self.snapshot_path, "rb") as fh:
+                rec = pickle.load(fh)
+            step, payload = rec["step"], rec["state"]
         for raw in self.wal.replay():
             rec = pickle.loads(raw)
             if rec["step"] > step:
@@ -118,7 +126,7 @@ class DurableStore:
                 self.records_skipped += 1
         if step < 0:
             return None
-        self.store.save(step, payload, copy=False)
+        self.step = step
         _metrics.counter("durable.recoveries").add()
         return step, payload
 

@@ -9,9 +9,11 @@ boundary.  Frame format, after an 8-byte magic header::
 Durability contract:
 
 - **fsync-on-commit** — :meth:`WriteAheadLog.append` returns only
-  after the frame is flushed and ``fsync``\\ ed (unless ``sync=False``
-  for tests/benchmarks that want the framing without the disk wait),
-  so a record that was appended is a record that survives a crash.
+  after the frame is flushed and ``fsync``\\ ed, so a record that was
+  appended is a record that survives a crash.  ``sync=False`` keeps
+  the flush and skips the fsync: the record survives process death
+  (the page cache belongs to the OS) and is readable as soon as the
+  call returns, but not a kernel crash or power loss.
   :meth:`WriteAheadLog.append_many` is the group commit for callers
   that hold a whole batch: one ``write`` and one ``fsync`` for every
   frame in it.  A crash mid-batch leaves a torn prefix of the batch —
@@ -109,16 +111,9 @@ def read_records(path: Union[str, Path]) -> Iterator[bytes]:
 class WriteAheadLog:
     """Append-only CRC-framed journal (see module docstring)."""
 
-    def __init__(self, path: Union[str, Path], sync: bool = True,
-                 flush_every: int = 1):
+    def __init__(self, path: Union[str, Path], sync: bool = True):
         self.path = Path(path)
         self.sync = sync
-        #: flush the OS buffer every N appends (``sync=True`` always
-        #: flushes + fsyncs).  >1 trades the commit point for append
-        #: throughput: a crash loses at most the last N-1 records, and
-        #: the surviving prefix is still a clean committed prefix —
-        #: the trade live-capture mode makes to stay off the hot path.
-        self.flush_every = max(1, int(flush_every))
         #: bytes cut from a torn tail during the open scan (0 = clean)
         self.truncated_bytes = 0
         #: valid records found on disk at open
@@ -215,20 +210,16 @@ class WriteAheadLog:
             self._commit(b"".join(parts), len(parts) // 2)
 
     def _commit(self, frames: bytes, n: int) -> None:
-        """Write *n* whole frames at once, then apply the durability
-        class: fsync with ``sync``, else flush to the OS whenever the
-        append count crosses a ``flush_every`` boundary."""
+        """Write *n* whole frames at once and flush them to the OS;
+        with ``sync``, also fsync them."""
         fh = self._fh
         fh.write(frames)
-        before = self.appends
+        fh.flush()
         self.appends += n
         self.bytes_appended += len(frames)
         if self.sync:
-            fh.flush()
             os.fsync(fh.fileno())
             self._synced_appends = self.appends
-        elif self.appends // self.flush_every != before // self.flush_every:
-            fh.flush()
 
     def flush(self) -> None:
         """Push buffered frames to the OS; with ``sync``, also fsync

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import copy
 import os
-import pickle
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
@@ -127,67 +126,26 @@ class CheckpointStore:
         return state_nbytes(self._state) if self._state is not None else 0
 
     def save(self, step: int, state: Dict[str, Any],
-             copy: bool = True, nbytes: Optional[int] = None) -> None:
+             copy: bool = True) -> None:
         """Store *state* as the current checkpoint.
 
         ``copy=False`` takes ownership of *state* without the defensive
         snapshot — only safe when the caller guarantees it holds no
         aliases into live data, as ``checkpoint_state()`` does (it
         returns fresh copies).  The resilient driver uses this to
-        avoid paying for every array twice.
-
-        ``nbytes``, when given, is used for the write accounting in
-        place of the recursive :func:`state_nbytes` walk — callers
-        that already serialized the state (the durable store) know the
-        true size and skip a walk that can cost more than the save."""
+        avoid paying for every array twice."""
         if step < 0:
             raise ValueError("step must be >= 0")
         self._state = snapshot(state) if copy else state
         self.step = step
         self.saves += 1
-        self.bytes_written += self.nbytes if nbytes is None else nbytes
+        self.bytes_written += self.nbytes
 
     def load(self) -> Tuple[int, Dict[str, Any]]:
         if self._state is None:
             raise RuntimeError("no checkpoint saved")
         self.loads += 1
         return self.step, snapshot(self._state)
-
-    # -- persistence (crash-safe atomic write) -------------------------
-
-    def save_to(self, path: Union[str, Path], sync: bool = True) -> int:
-        """Persist the held checkpoint to *path*; returns bytes written.
-
-        The write is atomic (:func:`atomic_write_bytes`): a SIGKILL at
-        any point leaves either the previous checkpoint file or the
-        new one — never a truncated or half-written mix, which is what
-        a recovery path must be able to rely on before it trusts the
-        bytes.
-        """
-        if self._state is None:
-            raise RuntimeError("no checkpoint to persist")
-        payload = pickle.dumps(
-            {"step": self.step, "state": self._state},
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        return atomic_write_bytes(path, payload, sync=sync)
-
-    def load_from(self, path: Union[str, Path]) -> Tuple[int, Dict[str, Any]]:
-        """Load a persisted checkpoint into this store and return it.
-
-        Stray ``.tmp`` leftovers from a crash mid-:meth:`save_to` are
-        ignored (and cleaned up): only the atomically-renamed file is
-        ever trusted.
-        """
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        if tmp.exists():
-            tmp.unlink()
-        with open(path, "rb") as fh:
-            rec = pickle.load(fh)
-        self._state = rec["state"]
-        self.step = rec["step"]
-        return self.load()
 
     def modeled_write_time(self, machine: Machine) -> float:
         """Seconds one checkpoint write would take on *machine*'s

@@ -7,13 +7,15 @@ bitwise-identical streams, which the test suite relies on, and gives
 distributed simulations a principled way to derive independent
 per-worker streams (:func:`spawn_rngs`) instead of the classic
 ``seed + rank`` anti-pattern, whose streams can overlap.
-:func:`keyed_rngs` builds many keyed ``SeedSequence`` streams at once.
+:func:`keyed_rngs` builds many keyed ``SeedSequence`` streams at once,
+and :func:`spawn_keyed` uses it to build a ``SeedSequence``'s next
+spawned children without spawning them.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -188,6 +190,35 @@ def keyed_rngs(seed: int, namespace: int,
     state = np.ascontiguousarray(halves[:, 0::2] | halves[:, 1::2] << 32)
     return [np.random.Generator(np.random.PCG64(_Seeded(row)))
             for row in state]
+
+
+def spawn_keyed(seq: np.random.SeedSequence, n: int
+                ) -> Tuple[List[np.random.Generator], np.random.SeedSequence]:
+    """``[default_rng(child) for child in seq.spawn(n)]``, built by
+    :func:`keyed_rngs` in one batch.
+
+    Returns the generators and a copy of *seq* advanced past them
+    (``n_children_spawned`` is read-only, so *seq* itself is left as
+    it was).  *seq* must be a first-generation child with the default
+    pool size, as ``SeedSequence(seed).spawn(k)`` makes: its spawn key
+    is one namespace entry, and its children's keys are
+    ``(namespace, i)``.  Any other shape raises :class:`ValueError`
+    rather than compute a different stream.
+    """
+    if n < 0:
+        raise ValueError(f"cannot spawn {n} generators")
+    key = tuple(seq.spawn_key)
+    if len(key) != 1 or seq.pool_size != _POOL_SIZE:
+        raise ValueError(
+            f"spawn_keyed needs a one-entry spawn key and pool size "
+            f"{_POOL_SIZE}, got spawn_key={key}, "
+            f"pool_size={seq.pool_size}"
+        )
+    start = seq.n_children_spawned
+    rngs = keyed_rngs(seq.entropy, key[0], range(start, start + n))
+    return rngs, np.random.SeedSequence(
+        seq.entropy, spawn_key=key, n_children_spawned=start + n,
+    )
 
 
 def permutation_with_fixed_sum(

@@ -24,7 +24,7 @@ from repro.obs import trace as _trace
 from repro.par import Backend, ShmStage, get_backend, map_fanout
 from repro.sched.policies import Fcfs
 from repro.sched.simulator import ClusterSimulator, Job
-from repro.util.rng import make_rng
+from repro.util.rng import make_rng, spawn_keyed
 from repro.util.state import (
     COPY,
     NESTED,
@@ -40,16 +40,39 @@ def _micro_analysis(args):
     """In-situ analysis of one micro simulation (the fan-out unit).
 
     Pure function of the patch composition, the candidate's own
-    spawned RNG stream, and the fidelity rung's noise scale — so the
-    result is identical no matter which backend/worker evaluates it.
+    Generator (fresh from its keyed stream, so it draws the same
+    normal on whichever backend/worker evaluates it), and the fidelity
+    rung's noise scale.
     """
-    sc, idx, seq, noise_scale = args
+    sc, idx, rng, noise_scale = args
     comp = float(sc.asarray()[idx])
-    rng = np.random.default_rng(seq)
     return MicroResult(
         composition=comp,
         observable=comp + noise_scale * float(rng.normal()),
     )
+
+
+def novelty(comps: np.ndarray, explored) -> np.ndarray:
+    """Distance from each composition to its nearest explored value.
+
+    Bit-identical to ``np.min(np.abs(comps[:, None] - explored[None,
+    :]), axis=1)`` at O((n + m) log m) instead of O(n m): rounded
+    subtraction is monotone, so the nearest value is always one of the
+    two ``searchsorted`` neighbours in *explored*, sorted once here.
+    *explored* (an array or a list of floats) must be non-empty.
+
+    ±inf follow the same rule (``inf - inf`` is NaN, so an infinite
+    composition that meets its own infinity reads NaN, as it does in
+    the broadcast), and so does a NaN composition.  A NaN in
+    *explored* does not: the broadcast turns every row into NaN, this
+    search only the rows whose neighbour the NaN is.
+    """
+    ordered = np.sort(explored)
+    hi = np.searchsorted(ordered, comps)
+    lo = np.maximum(hi - 1, 0)
+    np.minimum(hi, ordered.size - 1, out=hi)
+    return np.minimum(np.abs(comps - ordered.take(lo)),
+                      np.abs(comps - ordered.take(hi)))
 
 
 class MacroModel:
@@ -64,12 +87,17 @@ class MacroModel:
         self.d = diffusivity
         self.rng = make_rng(seed)
         self.field = self.rng.random((n, n))
+        # periodic neighbour indices: f.take(prev, axis) gathers
+        # exactly np.roll(f, 1, axis), in one pass instead of two
+        self._prev = np.roll(np.arange(n), 1)
+        self._next = np.roll(np.arange(n), -1)
 
     def step(self, forcing: float = 0.02) -> None:
         f = self.field
+        prev, nxt = self._prev, self._next
         lap = (
-            np.roll(f, 1, 0) + np.roll(f, -1, 0)
-            + np.roll(f, 1, 1) + np.roll(f, -1, 1) - 4 * f
+            f.take(prev, 0) + f.take(nxt, 0)
+            + f.take(prev, 1) + f.take(nxt, 1) - 4 * f
         )
         self.field = f + self.d * lap + forcing * self.rng.normal(
             0, 1, f.shape
@@ -223,17 +251,16 @@ class MummiCampaign(Stateful):
 
     # ------------------------------------------------------------------
 
-    def select_candidates(self) -> np.ndarray:
-        """Novelty sampling: patches least like anything explored."""
-        comps = self.macro.patch_compositions().ravel()
+    def select_candidates(self, comps: np.ndarray) -> np.ndarray:
+        """Novelty sampling: patches least like anything explored.
+
+        *comps* is this cycle's ``macro.patch_compositions().ravel()``.
+        """
         if not self.explored:
-            novelty = np.abs(comps - comps.mean())
+            score = np.abs(comps - comps.mean())
         else:
-            explored = np.asarray(self.explored)
-            novelty = np.min(
-                np.abs(comps[:, None] - explored[None, :]), axis=1
-            )
-        order = np.argsort(novelty)[::-1]
+            score = novelty(comps, self.explored)
+        order = np.argsort(score)[::-1]
         return order[: self.jobs_per_cycle]
 
     def run_cycle(self) -> Dict[str, float]:
@@ -253,8 +280,8 @@ class MummiCampaign(Stateful):
 
     def _run_cycle(self) -> Dict[str, float]:
         self.macro.step()
-        candidates = self.select_candidates()
         comps = self.macro.patch_compositions().ravel()
+        candidates = self.select_candidates(comps)
         # graceful degradation: with the breaker open (fault storm /
         # repeated budget overruns), serve this cycle from the cheap
         # macro surrogate instead of launching micro MD.  The breaker
@@ -271,13 +298,16 @@ class MummiCampaign(Stateful):
         if self.ladder is not None and self.ladder.at_least("degrade"):
             return self._run_surrogate_cycle(candidates, comps)
         service = self.steps_per_sim * self.step_time
+        # one draw per job, in job order (a vector draw is the same
+        # stream as that many scalar draws)
+        jitter = self.rng.uniform(0.9, 1.1, candidates.size).tolist()
         # job_id order is novelty rank: rank 0 is the most novel patch
         # and gets the highest priority, so under load shedding the
         # least interesting candidates are sacrificed first
         jobs = [
-            Job(job_id=int(k), arrival=0.0,
-                service=service * float(self.rng.uniform(0.9, 1.1)),
-                priority=int(candidates.size - k),
+            Job(job_id=k, arrival=0.0,
+                service=service * jitter[k],
+                priority=candidates.size - k,
                 deadline=self.cycle_budget,
                 tenant=self.tenant)
             for k in range(candidates.size)
@@ -354,11 +384,14 @@ class MummiCampaign(Stateful):
     ) -> None:
         """Fan the per-candidate micro analysis out over the backend.
 
-        Each candidate gets its own spawned child of the campaign's
-        evaluation stream, so the fan-out is bit-exact across
-        backends; the spawn counter is part of the checkpoint state.
+        Each candidate draws from its own child of the campaign's
+        evaluation stream — the Generator ``eval_root.spawn(n)`` would
+        seed, built in one batch by :func:`spawn_keyed` — so the
+        fan-out is bit-exact across backends; the spawn counter is
+        part of the checkpoint state.
         """
-        seqs = self._eval_root.spawn(int(candidates.size))
+        rngs, self._eval_root = spawn_keyed(self._eval_root,
+                                            candidates.size)
         be = get_backend(self.backend)
         # the macro composition snapshot crosses to the workers once
         # as a shared segment; each candidate reads its own element
@@ -366,8 +399,8 @@ class MummiCampaign(Stateful):
             sc = stage.share(np.ascontiguousarray(comps, dtype=np.float64))
             results = map_fanout(
                 _micro_analysis,
-                [(sc, int(i), seq, noise_scale)
-                 for i, seq in zip(candidates, seqs)],
+                [(sc, i, rng, noise_scale)
+                 for i, rng in zip(candidates.tolist(), rngs)],
                 backend=be,
             )
         for result in results:

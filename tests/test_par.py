@@ -416,7 +416,9 @@ class TestCallSitesBitExact:
         def run(backend):
             camp = MummiCampaign(n_gpus=4, jobs_per_cycle=6, seed=7,
                                  backend=backend)
-            camp.run(1)
+            # past the first cycle, so a non-zero spawn counter and a
+            # non-empty explored set reach the workers
+            camp.run(4)
             return (np.asarray(camp.explored), camp.macro.field.copy(),
                     [r.observable for r in camp.results])
 

@@ -12,7 +12,8 @@ tuple of :class:`repro.util.state.Field`\\ s, and ``checkpoint_state``
   readable, MuMMI's pickled state feeds a benchmark digest, and a
   breaker's dict is sealed into every trace fingerprint.  Raw pickle
   bytes are not pinned, because NumPy's array pickles embed its
-  module path.
+  module path.  MuMMI is also pinned at the benchmark's op length,
+  40 cycles, run straight through and recovered from a durable store.
 - **completeness** — checkpoint mid-run, step, restore: every
   attribute of the stepper and of the objects it owns must equal its
   pre-step value, except the attributes named below as non-state.
@@ -31,6 +32,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.durable import DurableStore, ResumableCampaign
 from repro.guard.deadline import AdmissionController, CircuitBreaker
 from repro.md.ddcmd import DdcMD, make_martini_membrane
 from repro.md.integrators import LangevinThermostat
@@ -277,6 +279,38 @@ LAYOUT_PINS = {
 def test_checkpoint_layout_is_pinned(name):
     assert layout_digest(SCENARIOS[name]().checkpoint_state()) \
         == LAYOUT_PINS[name]
+
+
+def _recovered_mummi(root, n_cycles=40):
+    """The mummi_durable op: journal a campaign, recover a fresh one."""
+    with DurableStore(root, sync=False) as store:
+        ResumableCampaign(_mummi(), store, cadence=10).run(n_cycles)
+    with DurableStore(root, sync=False) as store:
+        driver = ResumableCampaign(_mummi(), store)
+        assert driver.recover() == n_cycles
+    return driver.stepper
+
+
+#: 40-cycle MuMMI runs (the benchmark's op length) and their pins,
+#: computed before the evaluation streams were batched, the novelty
+#: search sorted and the durable store's in-memory copy dropped
+LONG_RUNS = {
+    "MummiCampaign-40": (
+        lambda root: _advance(_mummi(), 40),
+        "8d53a683392861f12cc6620cde2f3b160cae869daf6b12937e38afcc5498ae73"),
+    "MummiCampaign-40-recovered": (
+        _recovered_mummi,
+        "8d53a683392861f12cc6620cde2f3b160cae869daf6b12937e38afcc5498ae73"),
+    "MummiCampaign-extras-40": (
+        lambda root: _advance(_mummi(extras=True), 40),
+        "7c26bce9cb75aec2577500152f8cb10e2589b03f5150c6228e4759f6a4832ee8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_RUNS))
+def test_long_mummi_run_is_pinned(name, tmp_path):
+    scenario, pin = LONG_RUNS[name]
+    assert layout_digest(scenario(tmp_path).checkpoint_state()) == pin
 
 
 # -- completeness ------------------------------------------------------

@@ -9,6 +9,7 @@ from repro.util.rng import (
     keyed_rngs,
     make_rng,
     permutation_with_fixed_sum,
+    spawn_keyed,
     spawn_rngs,
 )
 
@@ -117,6 +118,41 @@ class TestKeyedRngs:
             keyed_rngs(-1, 1, [0])
         with pytest.raises(ValueError):
             keyed_rngs(0, -1, [0])
+
+
+class TestSpawnKeyed:
+    """`spawn_keyed` stands in for ``seq.spawn(n)`` + ``default_rng``."""
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**70 + 3, None])
+    def test_matches_spawned_children_over_calls(self, seed):
+        seq = np.random.SeedSequence(seed).spawn(3)[2]
+        shadow = np.random.SeedSequence(seq.entropy,
+                                        spawn_key=seq.spawn_key)
+        for n in (5, 0, 1, 24):
+            rngs, advanced = spawn_keyed(seq, n)
+            want = [np.random.default_rng(c) for c in shadow.spawn(n)]
+            assert [r.bit_generator.state for r in rngs] \
+                == [w.bit_generator.state for w in want]
+            assert seq.n_children_spawned \
+                == shadow.n_children_spawned - n  # input left as it was
+            seq = advanced
+            assert (seq.entropy, seq.spawn_key, seq.n_children_spawned) \
+                == (shadow.entropy, shadow.spawn_key,
+                    shadow.n_children_spawned)
+            assert type(seq.n_children_spawned) is int
+
+    @pytest.mark.parametrize("seq", [
+        np.random.SeedSequence(1),  # a root: no namespace entry
+        np.random.SeedSequence(1).spawn(1)[0].spawn(1)[0],  # grandchild
+        np.random.SeedSequence(1, spawn_key=(0,), pool_size=8),
+    ], ids=["root", "grandchild", "pool8"])
+    def test_other_shapes_raise(self, seq):
+        with pytest.raises(ValueError):
+            spawn_keyed(seq, 2)
+
+    def test_negative_count_raises(self):
+        with pytest.raises(ValueError):
+            spawn_keyed(np.random.SeedSequence(1).spawn(1)[0], -1)
 
 
 class TestPermutationWithFixedSum:
