@@ -20,10 +20,10 @@ and RNG state.  This package makes the kill survivable:
 - :mod:`repro.durable.chaos` — the kill/restart harness that proves
   it, wired into tests and the ``durable-chaos`` CI job.
 
-The worker-pool half of the story (heartbeat liveness, replacement,
-poison quarantine, journal resubmission) lives in
-:class:`repro.par.Supervisor`, which journals fan-out completions
-into the same WAL format.
+A fan-out whose worker dies raises
+:class:`~repro.par.errors.WorkerCrashError` with the exact
+``pending_indices`` a caller resubmits; a journaled campaign re-runs
+its uncommitted step instead.
 """
 
 from repro.durable.campaign import (

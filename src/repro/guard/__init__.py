@@ -15,10 +15,10 @@ detect-and-degrade strategy:
   escalation (AMG → stronger smoother → PCG/Jacobi → dense direct;
   BDF → order drop → step halving → ERK rescue; MD → step rejection +
   neighbor rebuild), recording which rung served each request.
-- :mod:`repro.guard.deadline` — :class:`Deadline` propagation,
-  :class:`CircuitBreaker`, and the :class:`AdmissionController` that
-  lets a campaign under a fault storm shed its lowest-priority
-  candidates instead of collapsing.
+- :mod:`repro.guard.deadline` — the :class:`CircuitBreaker` and the
+  :class:`AdmissionController` that lets a campaign under a fault
+  storm shed its lowest-priority candidates, and any job that can no
+  longer meet its deadline, instead of collapsing.
 
 Guard mode comes from ``REPRO_GUARD`` (``off`` default / ``on`` /
 ``strict``); with guards off every instrumented path is bit-exact
@@ -34,11 +34,7 @@ from repro.guard.config import (
     guard_override,
     guard_strict,
 )
-from repro.guard.deadline import (
-    AdmissionController,
-    CircuitBreaker,
-    Deadline,
-)
+from repro.guard.deadline import AdmissionController, CircuitBreaker
 from repro.guard.errors import (
     BreakdownError,
     CircuitOpenError,
@@ -74,7 +70,6 @@ __all__ = [
     "guard_strict",
     "AdmissionController",
     "CircuitBreaker",
-    "Deadline",
     "BreakdownError",
     "CircuitOpenError",
     "DeadlineExceededError",

@@ -1,12 +1,10 @@
-"""Deadline propagation, circuit breaking, and admission control.
+"""Circuit breaking and deadline-aware admission control.
 
 The complement of the sentinels: under deadline pressure a campaign
-should *shed* its least valuable work, not collapse.  Three pieces:
+should *shed* its least valuable work, not collapse.  Two pieces, both
+on whatever clock the caller runs (simulated seconds for the
+scheduler, cycle counts for the MuMMI campaign):
 
-- :class:`Deadline` — an absolute time on whatever clock the caller
-  runs (simulated seconds for the scheduler, cycle counts for the
-  MuMMI campaign).  It propagates by value through call chains and
-  answers ``remaining``/``expired``/``require``.
 - :class:`CircuitBreaker` — the classic closed/open/half-open state
   machine over a sliding failure count.  Consumers that will report
   back call :meth:`try_acquire_probe` before expensive work and
@@ -33,43 +31,9 @@ from collections import deque
 from typing import Deque, Optional, Tuple
 
 from repro.guard.config import guard_strict
-from repro.guard.errors import CircuitOpenError, DeadlineExceededError
+from repro.guard.errors import CircuitOpenError
 from repro.obs import metrics as _metrics
 from repro.util.state import DEQUE, NESTED, Field, Stateful, fields
-
-
-class Deadline:
-    """An absolute deadline on the caller's clock."""
-
-    __slots__ = ("at",)
-
-    def __init__(self, at: float):
-        self.at = float(at)
-
-    @classmethod
-    def after(cls, budget: float, now: float = 0.0) -> "Deadline":
-        """Deadline *budget* clock units from *now*."""
-        if budget <= 0:
-            raise ValueError("budget must be positive")
-        return cls(now + budget)
-
-    def remaining(self, now: float) -> float:
-        return self.at - now
-
-    def expired(self, now: float) -> bool:
-        return now >= self.at
-
-    def require(self, now: float, where: str = "deadline") -> None:
-        """Raise :class:`DeadlineExceededError` when already expired."""
-        if self.expired(now):
-            _metrics.counter("guard.deadline.exceeded").add()
-            raise DeadlineExceededError(
-                f"deadline {self.at:.6g} expired at {now:.6g}",
-                where=where, context={"deadline": self.at, "now": now},
-            )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Deadline(at={self.at!r})"
 
 
 class CircuitBreaker(Stateful):

@@ -21,12 +21,9 @@ Public surface:
   expose the leak detector that runs on pool shutdown.
 - :func:`get_backend` / :class:`Backend` — spec resolution
   (``"process:4"``, env default, worker counts).
-- :class:`WorkerTaskError` / :class:`WorkerCrashError` /
-  :class:`PoisonTaskError` — typed failure surface (a dead worker
-  never hangs the parent; a crash reports its ``pending_indices``).
-- :class:`Supervisor` — self-healing worker pool: heartbeat liveness,
-  automatic replacement with capped backoff, poison-task quarantine,
-  WAL-journaled completions for exact resubmission after a kill.
+- :class:`WorkerTaskError` / :class:`WorkerCrashError` — typed
+  failure surface (a dead worker never hangs the parent; a crash
+  reports its ``pending_indices``, the exact set a caller resubmits).
 - :func:`shutdown_pools` — drop the cached executors (tests/atexit).
 
 Observability composes: process-backend chunks ship their counter and
@@ -34,8 +31,8 @@ gauge deltas and their trace spans back to the parent, which merges
 them into the process-wide registries on join — ``obs.snapshot()``
 after a fan-out reads the same regardless of backend.  Guard config
 (``REPRO_GUARD``, ``REPRO_OBS_VALIDATE``) is re-propagated into
-workers on every chunk, and a wall-clock deadline (float budget or
-:class:`repro.guard.deadline.Deadline`) is enforced before each task.
+workers on every chunk.  The package imports only ``repro.obs``
+outside itself.
 """
 
 from repro.par.backend import (
@@ -52,7 +49,6 @@ from repro.par.backend import (
 )
 from repro.par.errors import (
     ParError,
-    PoisonTaskError,
     WorkerCrashError,
     WorkerTaskError,
 )
@@ -63,19 +59,16 @@ from repro.par.shm import (
     sweep_leaked_segments,
 )
 from repro.par.steal import STEAL_KINDS, StealScheduler
-from repro.par.supervisor import Supervisor
 
 __all__ = [
     "BACKEND_ENV",
     "Backend",
     "PROPAGATED_ENV",
     "ParError",
-    "PoisonTaskError",
     "STEAL_KINDS",
     "SharedArray",
     "ShmStage",
     "StealScheduler",
-    "Supervisor",
     "Task",
     "WorkerCrashError",
     "WorkerTaskError",

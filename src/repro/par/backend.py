@@ -32,9 +32,9 @@ Determinism contract: for a pure task function, ``map_fanout`` returns
 bit-identical results for every backend, worker count, and chunk size
 — results are ordered by input index, dispatch is chunked but
 reassembled in order, and RNG material must be passed *into* tasks
-(pre-spawned per task via ``SeedSequence.spawn``), never derived from
-worker identity.  Workers never start nested pools: ``REPRO_PAR`` is
-forced to ``serial`` inside every worker chunk.
+(derived per task in the parent), never derived from worker identity.
+Workers never start nested pools: ``REPRO_PAR`` is forced to
+``serial`` inside every worker chunk.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from __future__ import annotations
 import atexit
 import os
 import threading
-import time
 import traceback
 from concurrent.futures import (
     BrokenExecutor,
@@ -52,8 +51,6 @@ from concurrent.futures import (
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.guard.deadline import Deadline
-from repro.guard.errors import DeadlineExceededError
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.par.errors import ParError, WorkerCrashError, WorkerTaskError
@@ -177,18 +174,11 @@ class _TaskFailure:
         self.exception = None
 
 
-def _run_items(fn, items: Sequence[Any], start: int,
-               deadline_at: Optional[float]) -> List[Tuple[bool, Any]]:
+def _run_items(fn, items: Sequence[Any], start: int) -> List[Tuple[bool, Any]]:
     """Run a chunk; each slot is ``(ok, value-or-_TaskFailure)``."""
     out: List[Tuple[bool, Any]] = []
     for off, item in enumerate(items):
         index = start + off
-        if deadline_at is not None and time.time() >= deadline_at:
-            out.append((False, _TaskFailure(
-                index, "DeadlineExceededError",
-                f"fan-out deadline expired before task {index}",
-            )))
-            continue
         try:
             out.append((True, fn(item)))
         except BaseException as exc:  # surfaced as typed errors on join
@@ -211,7 +201,7 @@ def _apply_env(env: Dict[str, Optional[str]]) -> None:
 
 def _process_worker_chunk(payload):
     """Entry point executed inside a pool worker (top-level, picklable)."""
-    fn, items, start, env, deadline_at, want_trace = payload
+    fn, items, start, env, want_trace = payload
     _apply_env(env)
     sink = None
     if want_trace:
@@ -219,7 +209,7 @@ def _process_worker_chunk(payload):
         _trace.TRACER.enable(sink)
     before = _metrics.snapshot()
     try:
-        results = _run_items(fn, items, start, deadline_at)
+        results = _run_items(fn, items, start)
     finally:
         if sink is not None:
             _trace.TRACER.remove_sink(sink)
@@ -343,29 +333,11 @@ atexit.register(shutdown_pools)
 # ---------------------------------------------------------------------------
 
 
-def _deadline_at(deadline: Union[None, float, Deadline]) -> Optional[float]:
-    """Normalize to an absolute wall-clock time (``time.time`` scale)."""
-    if deadline is None:
-        return None
-    if isinstance(deadline, Deadline):
-        return deadline.at
-    budget = float(deadline)
-    if budget <= 0:
-        raise ValueError("deadline budget must be positive")
-    return time.time() + budget
-
-
-def _unwrap(wrapped: List[Tuple[bool, Any]], kind: str) -> List[Any]:
+def _unwrap(wrapped: List[Tuple[bool, Any]]) -> List[Any]:
     for ok, value in wrapped:
         if ok:
             continue
         f: _TaskFailure = value
-        if f.error_type == "DeadlineExceededError":
-            _metrics.counter("par.deadline_expired").add()
-            raise DeadlineExceededError(
-                f.message, where="par.map_fanout",
-                context={"task_index": f.index, "backend": kind},
-            )
         _metrics.counter("par.task_errors").add()
         err = WorkerTaskError(f.index, f.error_type, f.message,
                               f.worker_traceback)
@@ -417,33 +389,29 @@ def map_fanout(
     backend: Union[None, str, Backend] = None,
     workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
-    deadline: Union[None, float, Deadline] = None,
 ) -> List[Any]:
     """Apply *fn* to every item, in input order, on the chosen backend.
 
     The workhorse primitive: chunked dispatch, ordered reassembly,
-    typed failures (:class:`WorkerTaskError` / :class:`WorkerCrashError`
-    / :class:`~repro.guard.errors.DeadlineExceededError`), and — for
-    the process backend — per-chunk guard-env propagation plus child
-    metric/span merge on join.  For pure *fn* the result list is
+    typed failures (:class:`WorkerTaskError` /
+    :class:`WorkerCrashError`), and — for the process backend —
+    per-chunk guard-env propagation plus child metric/span merge on
+    join.  For pure *fn* the result list is
     bit-identical across backends, worker counts, and chunk sizes.
     """
     items = list(items)
     be = get_backend(backend, workers)
     if not items:
         return []
-    deadline_at = _deadline_at(deadline)
     if be.kind == "serial":
-        return _unwrap(_run_items(fn, items, 0, deadline_at), "serial")
+        return _unwrap(_run_items(fn, items, 0))
 
     if be.kind.startswith("steal-"):
         from repro.par.steal import steal_fanout
 
         # chunk_size doubles as the minimum steal grain: ranges are
         # split on steal, but never below this many items
-        return steal_fanout(
-            fn, items, be, deadline_at=deadline_at, min_grain=chunk_size,
-        )
+        return steal_fanout(fn, items, be, min_grain=chunk_size)
 
     chunk = _chunk_bounds(len(items), be.workers, chunk_size)
     starts = list(range(0, len(items), chunk))
@@ -454,20 +422,20 @@ def map_fanout(
     if be.kind == "thread":
         pool = _get_pool("thread", be.workers)
         futures = [
-            pool.submit(_run_items, fn, items[s:s + chunk], s, deadline_at)
+            pool.submit(_run_items, fn, items[s:s + chunk], s)
             for s in starts
         ]
         wrapped: List[Tuple[bool, Any]] = []
         for future in futures:
             wrapped.extend(future.result())
-        return _unwrap(wrapped, "thread")
+        return _unwrap(wrapped)
 
     # process backend
     env = {key: os.environ.get(key) for key in PROPAGATED_ENV}
     want_trace = _trace.TRACER.enabled
     pool = _get_pool("process", be.workers)
     payloads = [
-        (fn, items[s:s + chunk], s, env, deadline_at, want_trace)
+        (fn, items[s:s + chunk], s, env, want_trace)
         for s in starts
     ]
     wrapped = []
@@ -490,7 +458,7 @@ def map_fanout(
             "the broken pool was discarded", backend="process",
             pending_indices=pending,
         ) from exc
-    return _unwrap(wrapped, "process")
+    return _unwrap(wrapped)
 
 
 def _call_task(task: Task) -> Any:
@@ -503,7 +471,6 @@ def run_ensemble(
     backend: Union[None, str, Backend] = None,
     workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
-    deadline: Union[None, float, Deadline] = None,
 ) -> List[Any]:
     """Run heterogeneous :class:`Task`\\ s; results in task order."""
     task_list = list(tasks)
@@ -512,5 +479,5 @@ def run_ensemble(
             raise TypeError("run_ensemble expects repro.par.Task objects")
     return map_fanout(
         _call_task, task_list, backend=backend, workers=workers,
-        chunk_size=chunk_size, deadline=deadline,
+        chunk_size=chunk_size,
     )

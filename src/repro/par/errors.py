@@ -13,16 +13,8 @@ Every failure mode a fan-out can hit surfaces as a subclass of
   executor's broken-pool signal; the dead pool is evicted from the
   cache so the next fan-out gets a fresh one.  Carries
   ``pending_indices`` — the input indices whose results never came
-  back — so callers (and :class:`repro.par.Supervisor`) can resubmit
-  precisely instead of re-running the whole fan-out.
-- :class:`PoisonTaskError` — one task index crashed its worker
-  ``max_task_crashes`` times in a row and was quarantined by the
-  supervisor; retrying it again would just keep killing workers.
-
-Deadline expiry inside a worker is not a :class:`ParError`: it is
-re-raised in the parent as the guard layer's
-:class:`~repro.guard.errors.DeadlineExceededError`, so callers that
-already catch guard errors need no new handling for parallel runs.
+  back — so a caller can resubmit precisely instead of re-running
+  the whole fan-out.
 """
 
 from __future__ import annotations
@@ -62,14 +54,3 @@ class WorkerCrashError(ParError):
         self.backend = backend
         self.pending_indices = tuple(pending_indices)
 
-
-class PoisonTaskError(ParError):
-    """A task index was quarantined after repeatedly crashing workers."""
-
-    def __init__(self, task_index: int, crashes: int):
-        super().__init__(
-            f"task {task_index} crashed its worker {crashes} times "
-            "and was quarantined as a poison task"
-        )
-        self.task_index = task_index
-        self.crashes = crashes

@@ -30,7 +30,7 @@ function the output is bit-identical to the serial backend.  Failures
 ride the same typed surface as the static backends
 (:class:`~repro.par.errors.WorkerTaskError`, ordered-first on join;
 :class:`~repro.par.errors.WorkerCrashError` with precise
-``pending_indices``; ``DeadlineExceededError`` per expired item).
+``pending_indices``).
 
 ``steal-thread`` runs dedicated (non-pooled) worker threads so a
 stealing fan-out can never deadlock against the cached thread pool;
@@ -148,7 +148,6 @@ def in_steal_worker() -> bool:
 
 
 def _steal_thread_fanout(fn, items: Sequence[Any], workers: int,
-                         deadline_at: Optional[float],
                          min_grain: int) -> List[Tuple[bool, Any]]:
     from repro.par.backend import _run_items
 
@@ -164,7 +163,7 @@ def _steal_thread_fanout(fn, items: Sequence[Any], workers: int,
                 if span is None:
                     return
                 s, e = span
-                wrapped[s:e] = _run_items(fn, items[s:e], s, deadline_at)
+                wrapped[s:e] = _run_items(fn, items[s:e], s)
         finally:
             _IN_STEAL_WORKER.active = False
 
@@ -184,7 +183,6 @@ def _steal_thread_fanout(fn, items: Sequence[Any], workers: int,
 
 
 def _steal_process_fanout(fn, items: Sequence[Any], workers: int,
-                          deadline_at: Optional[float],
                           min_grain: int) -> List[Tuple[bool, Any]]:
     from repro.par.backend import (
         PROPAGATED_ENV,
@@ -207,7 +205,7 @@ def _steal_process_fanout(fn, items: Sequence[Any], workers: int,
         if span is None:
             return False
         s, e = span
-        payload = (fn, items[s:e], s, env, deadline_at, want_trace)
+        payload = (fn, items[s:e], s, env, want_trace)
         inflight[pool.submit(_process_worker_chunk, payload)] = (slot, span)
         return True
 
@@ -254,7 +252,6 @@ def steal_fanout(
     items: Sequence[Any],
     be,
     *,
-    deadline_at: Optional[float] = None,
     min_grain: Optional[int] = None,
 ) -> List[Any]:
     """Run *fn* over *items* on a work-stealing backend, in order.
@@ -275,16 +272,14 @@ def steal_fanout(
         # nested fan-out inside a steal worker: degrade to an inline
         # serial loop (the thread-side twin of the process workers'
         # forced REPRO_PAR=serial bootstrap)
-        return _unwrap(_run_items(fn, items, 0, deadline_at), be.kind)
+        return _unwrap(_run_items(fn, items, 0))
 
     _metrics.counter("par.fanouts").add()
     _metrics.counter(f"par.fanouts.{be.kind}").add()
     _metrics.counter("par.tasks_dispatched").add(n)
 
     if be.kind == "steal-thread":
-        wrapped = _steal_thread_fanout(fn, items, be.workers, deadline_at,
-                                       grain)
+        wrapped = _steal_thread_fanout(fn, items, be.workers, grain)
     else:
-        wrapped = _steal_process_fanout(fn, items, be.workers, deadline_at,
-                                        grain)
-    return _unwrap(wrapped, be.kind)
+        wrapped = _steal_process_fanout(fn, items, be.workers, grain)
+    return _unwrap(wrapped)

@@ -900,30 +900,6 @@ class ClusterSimulator:
             raise ValueError("need at least one GPU")
         self.n_gpus = n_gpus
 
-    def session(
-        self,
-        jobs: Sequence[Job],
-        policy,
-        horizon: Optional[float] = None,
-        fault_injector=None,
-        retry_policy=None,
-        engine: str = "auto",
-        admission=None,
-    ) -> SimulatorSession:
-        """A resumable, checkpointable run: the session :meth:`run`
-        drives to completion, handed to the caller instead.
-
-        Advance it with ``advance(k)`` / ``step()``, snapshot it with
-        ``checkpoint_state``/``restore_state`` — the entry point the
-        durable layer uses to SIGKILL and resume a schedule
-        mid-flight.
-        """
-        return SimulatorSession(
-            self.n_gpus, jobs, policy, horizon=horizon,
-            fault_injector=fault_injector, retry_policy=retry_policy,
-            engine=engine, admission=admission,
-        )
-
     def run(
         self,
         jobs: Sequence[Job],

@@ -40,7 +40,6 @@ from repro.traffic.driver import (
     OpenLoopDriver,
     TrafficReport,
     Verdict,
-    drive_campaign,
     generate_jobs,
     record_experiment,
     replay,
@@ -78,5 +77,4 @@ __all__ = [
     "Verdict",
     "verify",
     "verify_replay",
-    "drive_campaign",
 ]

@@ -48,9 +48,7 @@ class ArrivalProcess:
         """The first *n* values of :meth:`times_iter` on *rng*.
 
         The generator is left suspended after its *n*-th yield, so
-        *rng* ends in the state a loop that stops there would leave —
-        callers that draw repeated blocks from one ``Generator`` (see
-        :func:`~repro.traffic.driver.drive_campaign`) depend on it.
+        *rng* ends in the state a loop that stops there would leave.
         """
         return np.fromiter(itertools.islice(self.times_iter(rng), n),
                            dtype=float, count=n)

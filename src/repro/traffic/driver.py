@@ -35,8 +35,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.guard.deadline import AdmissionController, CircuitBreaker
 from repro.obs import metrics as _metrics
 from repro.resilience.faults import FaultInjector
@@ -513,74 +511,3 @@ def verify_replay(path: Union[str, Path]) -> TrafficReport:
         )
     return report
 
-
-# ---------------------------------------------------------------------------
-# MuMMI coupling: arrival-modulated campaign cycles
-# ---------------------------------------------------------------------------
-
-
-def _window_counts(arrivals, n_cycles: int, window: float) -> np.ndarray:
-    """Arrivals per half-open cycle window ``[k*window, (k+1)*window)``.
-
-    ``np.histogram(..., range=(0, horizon))`` treats the last bin as
-    *closed* on the right, so an arrival at exactly ``t == horizon``
-    was counted into the final cycle while the same arrival at an
-    interior boundary belongs to the *next* window — inconsistent
-    edge semantics that skewed the last cycle's offered load.  Every
-    window here is half-open; arrivals at or past the horizon fall
-    outside every cycle.
-    """
-    arr = np.asarray(arrivals, dtype=float)
-    idx = np.floor_divide(arr, window).astype(int)
-    valid = (arr >= 0.0) & (idx < n_cycles)
-    return np.bincount(idx[valid], minlength=n_cycles)
-
-
-def drive_campaign(
-    campaign,
-    process: ArrivalProcess,
-    n_cycles: int,
-    window: float,
-    arrival_seed: int = 0,
-    min_jobs: int = 1,
-) -> List[Dict[str, float]]:
-    """Drive a :class:`~repro.workflow.mummi.MummiCampaign` open-loop.
-
-    Instead of a fixed ``jobs_per_cycle``, each cycle launches as many
-    micro MD jobs as the arrival process delivered in that cycle's
-    *window* (clamped to ``[min_jobs, n_patches]``) — candidate demand
-    becomes offered load, so bursts pile work onto the cluster
-    simulator and exercise the campaign's breaker/shedding paths the
-    way a tenant pile-up would.  Returns the per-cycle metric dicts,
-    each annotated with the cycle's ``offered_jobs``.
-    """
-    if n_cycles < 1:
-        raise ValueError("n_cycles must be >= 1")
-    if window <= 0:
-        raise ValueError("window must be positive")
-    n_patches = campaign.macro.patch_compositions().size
-    rng = np.random.default_rng(
-        np.random.SeedSequence(arrival_seed, spawn_key=(3,))
-    )
-    # draw generously, then bin into cycle windows
-    horizon = n_cycles * window
-    arrivals: List[float] = []
-    block = max(16, campaign.jobs_per_cycle * n_cycles)
-    while not arrivals or arrivals[-1] < horizon:
-        more = process.times(block, rng)
-        offset = arrivals[-1] if arrivals else 0.0
-        arrivals.extend((offset + t) for t in more.tolist())
-    counts = _window_counts(arrivals, n_cycles, window)
-    out: List[Dict[str, float]] = []
-    nominal = campaign.jobs_per_cycle
-    try:
-        for c in range(n_cycles):
-            offered = int(min(max(int(counts[c]), min_jobs), n_patches))
-            campaign.jobs_per_cycle = offered
-            metrics = campaign.run_cycle()
-            metrics["offered_jobs"] = float(offered)
-            out.append(metrics)
-    finally:
-        campaign.jobs_per_cycle = nominal
-    _metrics.counter("traffic.campaign_cycles").add(len(out))
-    return out

@@ -8,8 +8,8 @@ measurement goes through a single monotonic timer.
 """
 
 from repro.util.rng import make_rng, spawn_rngs, spawn_seqs
-from repro.util.tables import Table, format_seconds, format_si
-from repro.util.timing import Stopwatch, TimerRegistry
+from repro.util.tables import Table, format_seconds
+from repro.util.timing import TimerRegistry
 
 __all__ = [
     "make_rng",
@@ -17,7 +17,5 @@ __all__ = [
     "spawn_seqs",
     "Table",
     "format_seconds",
-    "format_si",
-    "Stopwatch",
     "TimerRegistry",
 ]

@@ -220,19 +220,3 @@ def spawn_keyed(seq: np.random.SeedSequence, n: int
         seq.entropy, spawn_key=key, n_children_spawned=start + n,
     )
 
-
-def permutation_with_fixed_sum(
-    rng: np.random.Generator, total: float, n: int, jitter: float = 0.25
-) -> np.ndarray:
-    """Split *total* into *n* positive parts summing exactly to *total*.
-
-    Handy for workload generators that must partition a fixed amount of
-    work (e.g. job service demand) with bounded relative *jitter*.
-    """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    if total <= 0:
-        raise ValueError("total must be positive")
-    weights = 1.0 + jitter * (rng.random(n) - 0.5)
-    parts = weights / weights.sum() * total
-    return parts

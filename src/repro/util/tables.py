@@ -11,28 +11,6 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence
 
 
-def format_si(value: float, unit: str = "", digits: int = 3) -> str:
-    """Format *value* with an SI prefix (``1.25e9 -> '1.25 G'``)."""
-    prefixes = [
-        (1e12, "T"),
-        (1e9, "G"),
-        (1e6, "M"),
-        (1e3, "k"),
-        (1.0, ""),
-        (1e-3, "m"),
-        (1e-6, "u"),
-        (1e-9, "n"),
-    ]
-    if value == 0:
-        return f"0 {unit}".strip()
-    mag = abs(value)
-    for scale, prefix in prefixes:
-        if mag >= scale:
-            return f"{value / scale:.{digits}g} {prefix}{unit}".strip()
-    scale, prefix = prefixes[-1]
-    return f"{value / scale:.{digits}g} {prefix}{unit}".strip()
-
-
 def format_seconds(seconds: float) -> str:
     """Human-readable duration (``0.00231 -> '2.31 ms'``)."""
     if seconds < 0:

@@ -2,56 +2,17 @@
 
 The performance-model results in :mod:`repro.core` are analytic, but the
 proxy applications are also genuinely timed (pytest-benchmark and the
-example scripts).  :class:`Stopwatch` wraps the monotonic clock;
-:class:`TimerRegistry` accumulates named phase timings, mirroring how
-the paper breaks runs into phases (Fig 2, Fig 8).
+example scripts).  :class:`TimerRegistry` accumulates named phase
+timings on the monotonic ``perf_counter`` clock, mirroring how the
+paper breaks runs into phases (Fig 2, Fig 8).
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
-
-
-class Stopwatch:
-    """Monotonic stopwatch with lap support.
-
-    >>> sw = Stopwatch()
-    >>> sw.start()
-    >>> _ = sum(range(1000))
-    >>> elapsed = sw.stop()
-    >>> elapsed >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self._start: Optional[float] = None
-        self._elapsed = 0.0
-
-    def start(self) -> "Stopwatch":
-        if self._start is not None:
-            raise RuntimeError("stopwatch already running")
-        self._start = time.perf_counter()
-        return self
-
-    def stop(self) -> float:
-        if self._start is None:
-            raise RuntimeError("stopwatch not running")
-        self._elapsed += time.perf_counter() - self._start
-        self._start = None
-        return self._elapsed
-
-    def reset(self) -> None:
-        self._start = None
-        self._elapsed = 0.0
-
-    @property
-    def elapsed(self) -> float:
-        if self._start is not None:
-            return self._elapsed + (time.perf_counter() - self._start)
-        return self._elapsed
+from dataclasses import dataclass
+from typing import Dict, Iterator, List
 
 
 @dataclass

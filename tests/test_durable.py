@@ -5,9 +5,8 @@ The load-bearing contract: a campaign journaling into a
 process resumes **bit-exactly** — same final state, same RNG draws,
 same observability counters as an uninterrupted run.  Plus the WAL's
 framing guarantees (CRC, torn-tail truncation, atomic rotation), the
-idempotent snapshot+journal recovery protocol, the supervised worker
-pool (liveness, replacement, poison quarantine, journal
-resubmission), and the crash surfacing hardening in ``map_fanout``.
+idempotent snapshot+journal recovery protocol, and the crash
+surfacing hardening in ``map_fanout``.
 """
 
 import os
@@ -27,21 +26,11 @@ from repro.durable import (
 )
 from repro.durable.wal import MAGIC, read_records
 from repro.obs import metrics as metrics_mod
-from repro.par import (
-    PoisonTaskError,
-    Supervisor,
-    WorkerCrashError,
-    WorkerTaskError,
-    map_fanout,
-)
+from repro.par import WorkerCrashError, map_fanout
 from repro.resilience.checkpoint import atomic_write_bytes
 
 
-# -- top-level fns for supervised workers (pickling/forking) ---------------
-
-
-def _sq(x):
-    return x * x
+# -- top-level fns for process workers (pickling/forking) ------------------
 
 
 def _die_on_five(x):
@@ -55,41 +44,6 @@ def _die_late(x):
         time.sleep(0.5)
         os._exit(21)
     return x
-
-
-def _poison_three(x):
-    if x == 3:
-        os._exit(17)
-    return x
-
-
-def _hang_on_one(x):
-    if x == 1:
-        time.sleep(60)
-    return x
-
-
-def _raise_on_two(x):
-    if x == 2:
-        raise ValueError("boom")
-    return x
-
-
-_FLAKY_DIR = None
-
-
-def _flaky_seven(x):
-    # crashes the worker the first time index 7 runs, succeeds after
-    marker = os.path.join(_FLAKY_DIR, f"m{x}")
-    if x == 7 and not os.path.exists(marker):
-        open(marker, "w").close()
-        os._exit(13)
-    return x + 1
-
-
-def _slow_sq(x):
-    time.sleep(0.02)
-    return x * x
 
 
 # -------------------------------------------------------------------------
@@ -590,10 +544,10 @@ def _build_session(engine="auto", fault=True, admission="breaker", seed=2,
     """A session with chaos, a jittered backoff and *admission*; the
     *seed* feeds both RNG streams (injector and retry jitter)."""
     from repro.resilience import ExponentialBackoff, FaultInjector
-    from repro.sched import ClusterSimulator, SjfWithQuota
+    from repro.sched import SimulatorSession, SjfWithQuota
 
-    return ClusterSimulator(8).session(
-        _session_jobs() if jobs is None else jobs, SjfWithQuota(8),
+    return SimulatorSession(
+        8, _session_jobs() if jobs is None else jobs, SjfWithQuota(8),
         fault_injector=FaultInjector(mtbf=40.0, seed=seed) if fault else None,
         retry_policy=(
             ExponentialBackoff(base=1.0, jitter=0.5, max_retries=3,
@@ -760,14 +714,14 @@ class TestSimulatorSession:
 
     def test_checkpoint_resume_is_bit_exact(self):
         from repro.resilience import FaultInjector, ImmediateRetry
-        from repro.sched import ClusterSimulator, Sjf, batch_workload
+        from repro.sched import SimulatorSession, Sjf, batch_workload
 
-        sim = ClusterSimulator(8)
         jobs = batch_workload(n_jobs=300, seed=9)
 
         def build(seed):
-            return sim.session(
-                jobs, Sjf(), fault_injector=FaultInjector(mtbf=60.0, seed=seed),
+            return SimulatorSession(
+                8, jobs, Sjf(),
+                fault_injector=FaultInjector(mtbf=60.0, seed=seed),
                 retry_policy=ImmediateRetry(),
             )
 
@@ -785,14 +739,18 @@ class TestSimulatorSession:
         assert "retry" not in s1.checkpoint_state()
 
     def test_session_under_durable_store(self, tmp_path):
-        from repro.sched import ClusterSimulator, Fcfs, batch_workload
+        from repro.sched import (
+            ClusterSimulator,
+            Fcfs,
+            SimulatorSession,
+            batch_workload,
+        )
 
-        sim = ClusterSimulator(4)
         jobs = batch_workload(n_jobs=80, seed=1)
-        ref = sim.run(jobs, Fcfs())
+        ref = ClusterSimulator(4).run(jobs, Fcfs())
         metrics_mod.REGISTRY.reset("sched.")
         with DurableStore(tmp_path) as store:
-            ses = sim.session(jobs, Fcfs())
+            ses = SimulatorSession(4, jobs, Fcfs())
             ResumableCampaign(ses, store, cadence=50,
                               journal_every=10).run()
             assert ses.done
@@ -849,86 +807,6 @@ class TestChaos:
         assert state_mismatches(a, a) == []
         # dtype differences are mismatches even when values compare equal
         assert state_mismatches(np.arange(3.0), np.arange(3)) == ["state"]
-
-
-# -------------------------------------------------------------------------
-# Supervisor: liveness, replacement, quarantine, resubmission
-# -------------------------------------------------------------------------
-
-
-class TestSupervisor:
-    def test_plain_map_matches_serial(self):
-        with Supervisor(_sq, workers=4) as sup:
-            assert sup.map(range(20)) == [x * x for x in range(20)]
-        assert sup.crashes == 0
-
-    def test_crashed_worker_is_replaced_and_fanout_completes(
-            self, tmp_path):
-        global _FLAKY_DIR
-        _FLAKY_DIR = str(tmp_path)
-        with Supervisor(_flaky_seven, workers=3,
-                        backoff_base=0.01) as sup:
-            out = sup.map(range(12))
-        assert out == [x + 1 for x in range(12)]
-        assert sup.crashes >= 1
-        assert sup.replacements >= 1
-
-    def test_poison_task_raises_after_k_crashes(self):
-        with Supervisor(_poison_three, workers=2, max_task_crashes=2,
-                        backoff_base=0.01) as sup:
-            with pytest.raises(PoisonTaskError) as ei:
-                sup.map(range(6))
-        assert ei.value.task_index == 3
-        assert ei.value.crashes == 2
-
-    def test_quarantine_mode_completes_around_poison(self):
-        with Supervisor(_poison_three, workers=2, max_task_crashes=2,
-                        backoff_base=0.01, on_poison="quarantine") as sup:
-            out = sup.map(range(6))
-        assert [out[i] for i in (0, 1, 2, 4, 5)] == [0, 1, 2, 4, 5]
-        assert isinstance(out[3], PoisonTaskError)
-        assert sup.poisoned == [3]
-
-    def test_hung_worker_is_killed_and_task_quarantined(self):
-        with Supervisor(_hang_on_one, workers=2, heartbeat_timeout=0.3,
-                        max_task_crashes=1, backoff_base=0.01) as sup:
-            with pytest.raises(PoisonTaskError):
-                sup.map(range(3))
-
-    def test_task_exception_surfaces_as_worker_task_error(self):
-        with Supervisor(_raise_on_two, workers=2) as sup:
-            with pytest.raises(WorkerTaskError) as ei:
-                sup.map(range(4))
-        assert ei.value.task_index == 2
-        assert ei.value.error_type == "ValueError"
-
-    def test_journal_resubmits_only_unfinished(self, tmp_path):
-        journal = tmp_path / "fanout.wal"
-        # first run completes half the work, then the "process dies"
-        with Supervisor(_slow_sq, workers=2, journal=journal) as sup:
-            sup.map(range(8))
-        # a rerun of the same fan-out replays everything from the
-        # journal: zero new executions, identical results
-        with Supervisor(_slow_sq, workers=2, journal=journal) as sup:
-            out = sup.map(range(8))
-            assert out == [x * x for x in range(8)]
-            assert sup.journal_skips == 8
-
-    def test_journal_partial_resume(self, tmp_path):
-        # hand-build a journal holding 5 of 8 completions, as a killed
-        # supervisor would leave behind
-        journal = tmp_path / "fanout.wal"
-        with WriteAheadLog(journal) as wal:
-            for i in (0, 1, 2, 5, 7):
-                wal.append(pickle.dumps({"index": i, "value": i * i}))
-        with Supervisor(_sq, workers=2, journal=journal) as sup:
-            out = sup.map(range(8))
-        assert out == [x * x for x in range(8)]
-        assert sup.journal_skips == 5
-
-    def test_empty_items(self):
-        with Supervisor(_sq, workers=2) as sup:
-            assert sup.map([]) == []
 
 
 # -------------------------------------------------------------------------

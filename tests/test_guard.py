@@ -9,7 +9,6 @@ from repro.guard import (
     AdmissionController,
     BreakdownError,
     CircuitBreaker,
-    Deadline,
     DeadlineExceededError,
     DivergedError,
     FallbackChain,
@@ -226,27 +225,6 @@ class TestFallbackChain:
     def test_args_passed_through(self):
         chain = FallbackChain("t6").add("a", lambda x, k=0: x + k)
         assert chain.run(2, k=3).value == 5
-
-
-class TestDeadline:
-    def test_after_and_remaining(self):
-        d = Deadline.after(10.0, now=5.0)
-        assert d.at == 15.0
-        assert d.remaining(8.0) == 7.0
-        assert not d.expired(14.9)
-        assert d.expired(15.0)
-
-    def test_require_raises_and_counts(self):
-        d = Deadline(1.0)
-        d.require(0.5)
-        before = counter_value("guard.deadline.exceeded")
-        with pytest.raises(DeadlineExceededError):
-            d.require(2.0, where="t")
-        assert counter_value("guard.deadline.exceeded") == before + 1
-
-    def test_bad_budget(self):
-        with pytest.raises(ValueError):
-            Deadline.after(0.0)
 
 
 class TestCircuitBreaker:

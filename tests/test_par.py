@@ -10,16 +10,16 @@ concurrency bugfixes in the trace sink (locked atomic appends,
 monotonic span timestamps).
 """
 
+import ast
 import json
 import os
 import threading
-import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.guard.errors import DeadlineExceededError
 from repro.obs import metrics as metrics_mod
 from repro.obs import trace as trace_mod
 from repro.par import (
@@ -79,11 +79,6 @@ def _boom(x):
 
 def _die(x):
     os._exit(13)
-
-
-def _slow(x):
-    time.sleep(0.2)
-    return x
 
 
 def _shared_sum(args):
@@ -207,15 +202,6 @@ class TestFailures:
             map_fanout(_die, range(4), backend="process:2")
         # the broken pool was evicted: the next fan-out works
         assert map_fanout(_square, [2, 3], backend="process:2") == [4, 9]
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_deadline_surfaces_typed_error(self, backend):
-        with pytest.raises(DeadlineExceededError):
-            map_fanout(_slow, range(8), backend=backend, deadline=0.05)
-
-    def test_bad_deadline_rejected(self):
-        with pytest.raises(ValueError):
-            map_fanout(_square, [1], deadline=0.0)
 
 
 # -- observability merge-on-join ------------------------------------------
@@ -489,3 +475,37 @@ class TestTraceSinkFixes:
         outer, inner = by_name["outer"], by_name["inner"]
         assert outer["ts"] <= inner["ts"]
         assert inner["ts"] + inner["dur"] <= outer["ts"] + outer["dur"]
+
+
+# -- layering -------------------------------------------------------------
+
+
+def _repro_imports(path):
+    """``(line, module)`` for every ``repro`` import in *path*,
+    function-level imports included."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = ([f"repro.{alias.name}" for alias in node.names]
+                     if node.module == "repro" else [node.module])
+        else:
+            continue
+        for name in names:
+            if name == "repro" or name.startswith("repro."):
+                yield node.lineno, name
+
+
+def test_par_imports_only_par_and_obs():
+    """``repro.par`` sits below the service layers: any of them may fan
+    out, so it imports nothing of theirs."""
+    files = sorted((Path(__file__).resolve().parent.parent / "src" / "repro"
+                    / "par").glob("*.py"))
+    assert len(files) >= 5
+    outside = [
+        f"{path.name}:{line}: {name}"
+        for path in files
+        for line, name in _repro_imports(path)
+        if name.split(".")[:2] not in (["repro", "par"], ["repro", "obs"])
+    ]
+    assert outside == []

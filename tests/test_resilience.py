@@ -23,7 +23,7 @@ from repro.resilience import (
     state_nbytes,
 )
 from repro.sched.policies import Fcfs
-from repro.sched.simulator import ClusterSimulator
+from repro.sched.simulator import ClusterSimulator, SimulatorSession
 from repro.sched.workloads import batch_workload
 from repro.solvers.boomeramg import BoomerAMG
 from repro.solvers.csr import CsrMatrix
@@ -355,8 +355,8 @@ class TestJitteredRetryRewind:
                                   rng=np.random.default_rng(seed))
 
     def _session(self, seed=5, retry_seed=7):
-        return ClusterSimulator(4).session(
-            self.JOBS, Fcfs(),
+        return SimulatorSession(
+            4, self.JOBS, Fcfs(),
             fault_injector=FaultInjector(mtbf=40, seed=seed),
             retry_policy=self._policy(retry_seed),
         )

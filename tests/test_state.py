@@ -37,7 +37,7 @@ from repro.guard.deadline import AdmissionController, CircuitBreaker
 from repro.md.ddcmd import DdcMD, make_martini_membrane
 from repro.md.integrators import LangevinThermostat
 from repro.resilience import ExponentialBackoff, FaultInjector
-from repro.sched import ClusterSimulator, Fcfs, SjfWithQuota
+from repro.sched import Fcfs, SimulatorSession, SjfWithQuota
 from repro.sched.workloads import poisson_workload
 from repro.solvers.boomeramg import BoomerAMG
 from repro.solvers.csr import CsrMatrix
@@ -80,8 +80,8 @@ def _session(policy="fcfs", engine="fast", admission="breaker", seed=2):
         jobs, n_gpus = bundle.jobs, 4
         adm = replace(bundle.tenancy,
                       arbiter_enabled=admission == "tenancy").make()
-    return ClusterSimulator(n_gpus).session(
-        jobs, Fcfs() if policy == "fcfs" else SjfWithQuota(n_gpus),
+    return SimulatorSession(
+        n_gpus, jobs, Fcfs() if policy == "fcfs" else SjfWithQuota(n_gpus),
         fault_injector=FaultInjector(mtbf=40.0, seed=seed),
         retry_policy=ExponentialBackoff(
             base=1.0, jitter=0.5, max_retries=3,

@@ -933,7 +933,7 @@ class TestPileupScenario:
 
 
 # ---------------------------------------------------------------------------
-# satellites: shed-log bound, supervisor jitter, population tagging
+# satellites: shed-log bound, population tagging
 # ---------------------------------------------------------------------------
 
 
@@ -965,50 +965,6 @@ class TestShedLogBound:
     def test_cap_validated(self):
         with pytest.raises(ValueError):
             AdmissionController(shed_log_cap=0)
-
-
-class TestSupervisorJitter:
-    def test_jitter_without_rng_rejected(self):
-        from repro.par.supervisor import Supervisor
-
-        with pytest.raises(ValueError, match="injected rng"):
-            Supervisor(fn=abs, backoff_jitter=0.5)
-
-    def test_jitter_range_validated(self):
-        from repro.par.supervisor import Supervisor
-
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            Supervisor(fn=abs, backoff_jitter=1.0, rng=rng)
-
-    def test_injected_stream_reproduces_delays(self):
-        from repro.par.supervisor import Supervisor
-
-        def delays(seed):
-            sup = Supervisor(fn=abs, backoff_base=0.1, backoff_max=5.0,
-                             backoff_jitter=0.5,
-                             rng=np.random.default_rng(seed))
-            out = []
-            for crashes in (1, 2, 3, 4):
-                sup._consec_crashes = crashes
-                out.append(sup._backoff_delay())
-            return out
-
-        assert delays(42) == delays(42)
-        assert delays(42) != delays(43)
-        sup = Supervisor(fn=abs, backoff_base=0.1, backoff_max=5.0,
-                         backoff_jitter=0.5,
-                         rng=np.random.default_rng(0))
-        sup._consec_crashes = 2
-        for _ in range(50):
-            assert 0.5 * 0.2 <= sup._backoff_delay() <= 1.5 * 0.2
-
-    def test_no_jitter_is_deterministic_without_rng(self):
-        from repro.par.supervisor import Supervisor
-
-        sup = Supervisor(fn=abs, backoff_base=0.1, backoff_max=1.0)
-        sup._consec_crashes = 6
-        assert sup._backoff_delay() == 1.0  # capped, no randomness
 
 
 class TestTenantTagging:

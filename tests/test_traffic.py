@@ -31,7 +31,6 @@ from repro.traffic import (
     TraceWriter,
     TrafficTrace,
     UserPopulation,
-    drive_campaign,
     generate_jobs,
     process_from_description,
     record_experiment,
@@ -889,42 +888,6 @@ class TestReplayDeterminism:
             OpenLoopDriver(n_gpus=2, policy="lifo")
 
 
-class TestCampaignCoupling:
-    def test_drive_campaign_deterministic(self):
-        from repro.workflow.mummi import MummiCampaign
-
-        def run():
-            camp = MummiCampaign(n_gpus=4, jobs_per_cycle=6, seed=0,
-                                 steps_per_sim=1000)
-            out = drive_campaign(
-                camp, MMPPArrivals(quiet_rate=0.1, burst_rate=2.0,
-                                   mean_dwell=(30.0, 10.0)),
-                n_cycles=4, window=25.0, arrival_seed=2,
-            )
-            return camp, out
-        camp_a, a = run()
-        camp_b, b = run()
-        assert [m["offered_jobs"] for m in a] == \
-            [m["offered_jobs"] for m in b]
-        assert [m["simulations"] for m in a] == \
-            [m["simulations"] for m in b]
-        assert camp_a.jobs_per_cycle == 6  # nominal restored
-        # bursty arrivals actually modulate the cycle sizes
-        assert len({m["offered_jobs"] for m in a}) > 1
-
-    def test_drive_campaign_validation(self):
-        from repro.workflow.mummi import MummiCampaign
-
-        camp = MummiCampaign(n_gpus=2, jobs_per_cycle=2, seed=0,
-                             steps_per_sim=500)
-        with pytest.raises(ValueError):
-            drive_campaign(camp, PoissonArrivals(rate=1.0),
-                           n_cycles=0, window=10.0)
-        with pytest.raises(ValueError):
-            drive_campaign(camp, PoissonArrivals(rate=1.0),
-                           n_cycles=1, window=0.0)
-
-
 class TestCli:
     def test_main_smoke(self, tmp_path, capsys):
         from repro.traffic.__main__ import main
@@ -1038,41 +1001,6 @@ class TestStreams:
         )
         with pytest.raises(RuntimeError, match="not checkpointable"):
             ses.checkpoint_state()
-
-
-class TestWindowCounts:
-    """Satellite fix: campaign windowing uses half-open bins
-    ``[k*w, (k+1)*w)`` — an arrival exactly on an interior boundary
-    belongs to the *next* window, and one at/past the horizon is
-    excluded instead of being lumped into the last cycle."""
-
-    def test_half_open_bins(self):
-        from repro.traffic.driver import _window_counts
-
-        arrivals = np.array([0.0, 3.0, 9.999, 10.0, 15.0, 19.0, 20.0])
-        counts = _window_counts(arrivals, n_cycles=2, window=10.0)
-        # 20.0 == horizon is excluded; 10.0 lands in the second bin
-        assert counts.tolist() == [3, 3]
-
-    def test_past_horizon_excluded(self):
-        from repro.traffic.driver import _window_counts
-
-        arrivals = np.array([1.0, 25.0, 31.0])
-        counts = _window_counts(arrivals, n_cycles=3, window=10.0)
-        assert counts.tolist() == [1, 0, 1]
-
-    def test_boundary_regression_vs_histogram(self):
-        """np.histogram with range=(0, horizon) treats the last bin as
-        closed on the right, so an arrival at exactly t == horizon was
-        lumped into the final cycle — the exact bug the half-open
-        rewrite fixes."""
-        from repro.traffic.driver import _window_counts
-
-        arrivals = np.array([5.0, 10.0, 20.0])
-        old, _ = np.histogram(arrivals, bins=2, range=(0.0, 20.0))
-        assert old.tolist() == [1, 2]  # 20.0 double-dips the last bin
-        new = _window_counts(arrivals, n_cycles=2, window=10.0)
-        assert new.tolist() == [1, 1]
 
 
 # -------------------------------------------------------------------------

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.util import Stopwatch, Table, TimerRegistry, format_seconds, format_si
+from repro.util import Table, TimerRegistry, format_seconds
 from repro.util.rng import (
     keyed_rngs,
     make_rng,
-    permutation_with_fixed_sum,
     spawn_keyed,
     spawn_rngs,
 )
@@ -155,24 +154,6 @@ class TestSpawnKeyed:
             spawn_keyed(np.random.SeedSequence(1).spawn(1)[0], -1)
 
 
-class TestPermutationWithFixedSum:
-    @given(
-        total=st.floats(min_value=1.0, max_value=1e6),
-        n=st.integers(min_value=1, max_value=64),
-    )
-    def test_sums_to_total_and_positive(self, total, n):
-        parts = permutation_with_fixed_sum(make_rng(0), total, n)
-        assert parts.shape == (n,)
-        assert np.all(parts > 0)
-        assert np.isclose(parts.sum(), total, rtol=1e-10)
-
-    def test_bad_args(self):
-        with pytest.raises(ValueError):
-            permutation_with_fixed_sum(make_rng(0), 1.0, 0)
-        with pytest.raises(ValueError):
-            permutation_with_fixed_sum(make_rng(0), -1.0, 3)
-
-
 class TestFormatters:
     @pytest.mark.parametrize(
         "value,expected",
@@ -190,17 +171,6 @@ class TestFormatters:
 
     def test_format_seconds_negative(self):
         assert format_seconds(-1.5).startswith("-")
-
-    @pytest.mark.parametrize(
-        "value,unit,expected",
-        [
-            (67.258e9, "TEPS", "67.3 GTEPS"),
-            (0, "B", "0 B"),
-            (1.25e3, "B/s", "1.25 kB/s"),
-        ],
-    )
-    def test_format_si(self, value, unit, expected):
-        assert format_si(value, unit) == expected
 
 
 class TestTable:
@@ -229,34 +199,6 @@ class TestTable:
         lines = str(t).splitlines()
         # numeric column is right aligned: '1' ends the cell
         assert lines[-2].rstrip().endswith("1")
-
-
-class TestStopwatch:
-    def test_basic(self):
-        sw = Stopwatch()
-        sw.start()
-        elapsed = sw.stop()
-        assert elapsed >= 0
-
-    def test_double_start_raises(self):
-        sw = Stopwatch().start()
-        with pytest.raises(RuntimeError):
-            sw.start()
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
-
-    def test_reset(self):
-        sw = Stopwatch().start()
-        sw.stop()
-        sw.reset()
-        assert sw.elapsed == 0.0
-
-    def test_elapsed_while_running(self):
-        sw = Stopwatch().start()
-        assert sw.elapsed >= 0.0
-        sw.stop()
 
 
 class TestTimerRegistry:
