@@ -352,15 +352,11 @@ def case_guard_overhead(smoke: bool) -> Dict:
     speed, which drifts far more than 3% over a full series), order
     alternates within pairs, and the verdict is the median of the
     per-pair time ratios — robust to contention bursts, which only
-    poison the pairs they overlap.  A strict-mode fallback-chain
-    exercise afterwards populates the ``guard.*`` counters recorded
-    in the report snapshot.
+    poison the pairs they overlap.  An admission run afterwards sheds
+    one job, populating the ``guard.shed*`` counters recorded in the
+    report snapshot.
     """
-    from repro.guard import (
-        AdmissionController,
-        amg_fallback_chain,
-        guard_override,
-    )
+    from repro.guard import AdmissionController, guard_override
     from repro.sched.policies import Fcfs
     from repro.sched.simulator import ClusterSimulator, Job
     from repro.solvers import poisson_2d
@@ -456,21 +452,13 @@ def case_guard_overhead(smoke: bool) -> Dict:
     else:
         check = "ok"
 
-    # populate guard.* counters for the report snapshot: a chain that
-    # escalates to the dense rescue, and a shed decision
-    with guard_override("strict"):
-        n = 32
-        lap = np.zeros((n, n))
-        for i in range(n):
-            lap[i, i] = 2.0
-            if i:
-                lap[i, i - 1] = lap[i - 1, i] = -1.0
-        amg_fallback_chain(lap, max_iter=20).run(np.full(n, 1e150))
-        ClusterSimulator(1).run(
-            [Job(job_id=0, arrival=0.0, service=10.0, deadline=5.0),
-             Job(job_id=1, arrival=0.0, service=1.0)],
-            Fcfs(), admission=AdmissionController(),
-        )
+    # populate guard.shed* counters for the report snapshot: job 0
+    # cannot meet its deadline and is shed
+    ClusterSimulator(1).run(
+        [Job(job_id=0, arrival=0.0, service=10.0, deadline=5.0),
+         Job(job_id=1, arrival=0.0, service=1.0)],
+        Fcfs(), admission=AdmissionController(),
+    )
     return _case("guard_overhead", best_guarded, best_bare, None, check)
 
 

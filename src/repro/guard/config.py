@@ -1,23 +1,19 @@
-"""Guard-layer mode switch (the ``REPRO_GUARD`` environment variable).
+"""Guard-layer switch (the ``REPRO_GUARD`` environment variable).
 
 Mirrors the :mod:`repro.obs.validate` idiom: the environment variable
 is read on every call so tests and long-lived processes can flip the
-mode freely, with the string normalization memoized on the raw value.
-All callers are per-solver-run or per-iteration in already-expensive
-loops — never per-element.
+switch freely, with the string normalization memoized on the raw
+value.  All callers are per-solver-run or per-iteration in
+already-expensive loops — never per-element.
 
-Modes:
-
-- unset / ``0`` / ``off`` — guards disabled (production default).
-  Every instrumented path takes its pre-guard code path: constructors
-  hand out ``None`` monitors and step loops pay one ``is None`` test.
-- ``on`` / ``record`` — sentinels active: numerical-health checks run,
-  trips are counted under ``guard.sentinel.*`` and raise typed
-  :class:`~repro.guard.errors.NumericalHealthError`\\ s so fallback
-  chains can catch and escalate.
-- ``1`` / ``strict`` — as ``on``, and additionally exhausted fallback
-  chains and tripped circuit breakers raise instead of degrading
-  silently (:func:`guard_strict` gates those sites).
+- unset / ``0`` / ``off`` / ``false`` / ``no`` / ``none`` — guards
+  disabled (production default).  Every instrumented path takes its
+  pre-guard code path: constructors hand out ``None`` monitors and
+  step loops pay one ``is None`` test.
+- any other value (``on``, ``1``, ...) — sentinels armed:
+  numerical-health checks run, and each trip is counted under
+  ``guard.sentinel.*`` and raised to the caller as a typed
+  :class:`~repro.guard.errors.NumericalHealthError`.
 """
 
 from __future__ import annotations
@@ -26,49 +22,33 @@ import os
 from contextlib import contextmanager
 from typing import Iterator
 
-#: Environment variable selecting the guard mode.
+#: Environment variable arming the guards.
 GUARD_ENV = "REPRO_GUARD"
 
 _OFF_VALUES = ("", "0", "off", "false", "no", "none")
-_ON_VALUES = ("on", "record", "warn")
 
-#: memo of the last (raw env value, parsed mode) pair
-_parsed: tuple = ("", "off")
+#: memo of the last (raw env value, armed?) pair
+_parsed: tuple = ("", False)
 
 
-def guard_mode() -> str:
-    """Current mode: ``"off"``, ``"on"``, or ``"strict"``."""
+def guard_enabled() -> bool:
+    """Are the numerical-health sentinels armed?"""
     global _parsed
     value = os.environ.get(GUARD_ENV, "")
     cached = _parsed
     if value == cached[0]:
         return cached[1]
-    raw = value.strip().lower()
-    if raw in _OFF_VALUES:
-        mode = "off"
-    elif raw in _ON_VALUES:
-        mode = "on"
-    else:
-        mode = "strict"
-    _parsed = (value, mode)
-    return mode
-
-
-def guard_enabled() -> bool:
-    """Are the numerical-health sentinels active?"""
-    return guard_mode() != "off"
-
-
-def guard_strict() -> bool:
-    """Should exhausted chains / open breakers raise?"""
-    return guard_mode() == "strict"
+    enabled = value.strip().lower() not in _OFF_VALUES
+    _parsed = (value, enabled)
+    return enabled
 
 
 @contextmanager
 def guard_override(mode: str) -> Iterator[None]:
-    """Temporarily force the guard mode (tests and chaos harnesses)."""
-    if mode not in ("off", "on", "strict"):
-        raise ValueError("mode must be 'off', 'on', or 'strict'")
+    """Temporarily force the guards ``"off"`` or ``"on"`` (tests and
+    chaos harnesses)."""
+    if mode not in ("off", "on"):
+        raise ValueError("mode must be 'off' or 'on'")
     old = os.environ.get(GUARD_ENV)
     os.environ[GUARD_ENV] = mode
     try:

@@ -30,8 +30,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional, Tuple
 
-from repro.guard.config import guard_strict
-from repro.guard.errors import CircuitOpenError
 from repro.obs import metrics as _metrics
 from repro.util.state import DEQUE, NESTED, Field, Stateful, fields
 
@@ -109,14 +107,6 @@ class CircuitBreaker(Stateful):
     #: legacy alias — existing report-back call sites predate the
     #: peek/acquire split and keep the acquire semantics
     allow = try_acquire_probe
-
-    def require(self, now: float) -> None:
-        """Strict-mode gate: raise instead of silently degrading."""
-        if not self.try_acquire_probe(now) and guard_strict():
-            raise CircuitOpenError(
-                f"circuit {self.name!r} open", where=self.name,
-                context={"now": now, "opened_at": self.opened_at},
-            )
 
     def record_success(self, now: float) -> None:
         self.consecutive_failures = 0

@@ -1,16 +1,13 @@
 """Typed errors raised by the guard layer.
 
-The sentinel/fallback machinery distinguishes *soft* numerical
-failures — the detect-and-fall-back cases the paper's iCoE teams spent
-their effort on (solvers that stagnate after a port, ion models going
-non-physical, campaigns blowing their throughput budget) — from hard
-faults (crashes), which PR 1's resilience layer already handles with
-kill/retry/checkpoint.
+The sentinels distinguish *soft* numerical failures — the cases the
+paper's iCoE teams spent their effort on (solvers that stagnate after
+a port, ion models going non-physical) — from hard faults (crashes),
+which the resilience layer handles with kill/requeue/checkpoint.
 
 Every error carries *where* it was detected and a small ``context``
 dict (iteration number, residual norm, offending value, ...), so a
-fallback chain or a test can assert on the trip without string
-parsing.
+caller or a test can assert on the trip without string parsing.
 """
 
 from __future__ import annotations
@@ -43,8 +40,7 @@ class NumericalHealthError(GuardError):
     """A sentinel detected silent numerical trouble.
 
     Raised *instead of* looping to ``max_iter`` or emitting garbage:
-    the typed subclasses tell a fallback chain what went wrong so it
-    can pick the right escalation.
+    the typed subclasses tell the caller what went wrong.
     """
 
 
@@ -70,24 +66,3 @@ class BreakdownError(NumericalHealthError):
     """An algorithmic breakdown: ``p . Ap <= 0`` in CG (operator not
     SPD, or corrupted state), a zero Arnoldi subdiagonal with an
     unconverged residual, a singular Newton matrix."""
-
-
-class DeadlineExceededError(GuardError):
-    """A deadline expired before (or during) the guarded work."""
-
-
-class FallbackExhaustedError(GuardError):
-    """Every rung of a fallback chain tripped a health error.
-
-    ``errors`` holds the per-rung trips in escalation order.
-    """
-
-    def __init__(self, message: str, where: str = "",
-                 context: Optional[Dict[str, Any]] = None,
-                 errors: Optional[list] = None):
-        super().__init__(message, where=where, context=context)
-        self.errors = list(errors or [])
-
-
-class CircuitOpenError(GuardError):
-    """A circuit breaker is open and strict mode forbids degrading."""

@@ -1,14 +1,10 @@
 """Numerical health sentinels: cheap detectors for silent trouble.
 
-Three detector shapes cover everything the instrumented subsystems
+Two detector shapes cover everything the instrumented subsystems
 need:
 
 - :class:`HealthMonitor` — point-in-time NaN/Inf/overflow checks on
   arrays and scalars (solver inputs, iterates, forces, voltages).
-- :class:`ResidualTrendProbe` — watches a residual-norm series for
-  stagnation (insufficient reduction over a window) and divergence
-  (growth beyond a ratio of the best norm seen).  Hooked into PCG and
-  the stand-alone AMG iteration.
 - :class:`WrmsTrendProbe` — watches a BDF integrator's local-error
   WRMS series: repeated error-test failures and step-size collapse
   mean the integrator is stuck, not converging.
@@ -23,8 +19,7 @@ test at each instrumented site.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -32,7 +27,6 @@ from repro.guard.config import guard_enabled
 from repro.guard.errors import (
     DivergedError,
     NonFiniteError,
-    NumericalHealthError,
     OverflowHealthError,
     StagnationError,
 )
@@ -123,75 +117,6 @@ def default_monitor(where: str,
     if not guard_enabled():
         return None
     return HealthMonitor(where=where, magnitude_bound=magnitude_bound)
-
-
-class ResidualTrendProbe:
-    """Stagnation/divergence detector over a residual-norm series.
-
-    - **divergence**: the latest norm exceeds ``diverge_ratio`` times
-      the best (smallest) norm seen — the iteration is blowing up.
-    - **stagnation**: across the last ``window`` observations the
-      total reduction is worse than ``stall_ratio ** window`` — the
-      iteration is treading water (a smoother that stopped smoothing
-      after a port, per the hypre retargeting experience).
-
-    Non-finite norms trip :class:`NonFiniteError` immediately.
-    """
-
-    __slots__ = ("where", "window", "stall_ratio", "diverge_ratio",
-                 "history", "best", "observations")
-
-    def __init__(self, where: str = "solver", window: int = 10,
-                 stall_ratio: float = 0.99, diverge_ratio: float = 1e4):
-        if window < 2:
-            raise ValueError("window must be >= 2")
-        if not (0 < stall_ratio <= 1):
-            raise ValueError("stall_ratio in (0, 1]")
-        if diverge_ratio <= 1:
-            raise ValueError("diverge_ratio must exceed 1")
-        self.where = where
-        self.window = window
-        self.stall_ratio = stall_ratio
-        self.diverge_ratio = diverge_ratio
-        self.history: Deque[float] = deque(maxlen=window + 1)
-        self.best = float("inf")
-        self.observations = 0
-
-    def observe(self, rnorm: float, iteration: int = -1) -> None:
-        """Feed one residual norm; raise on an unhealthy trend."""
-        self.observations += 1
-        r = float(rnorm)
-        if not np.isfinite(r):
-            _trip("nonfinite", self.where)
-            raise NonFiniteError(
-                "non-finite residual norm", where=self.where,
-                context={"iteration": iteration, "rnorm": r},
-            )
-        if r < self.best:
-            self.best = r
-        elif self.best > 0 and r > self.diverge_ratio * self.best:
-            _trip("divergence", self.where)
-            raise DivergedError(
-                f"residual {r:.3e} grew {r / self.best:.1e}x beyond the "
-                f"best norm {self.best:.3e}",
-                where=self.where,
-                context={"iteration": iteration, "rnorm": r,
-                         "best": self.best},
-            )
-        self.history.append(r)
-        if len(self.history) == self.history.maxlen:
-            oldest = self.history[0]
-            required = oldest * self.stall_ratio ** self.window
-            if oldest > 0 and r > required:
-                _trip("stagnation", self.where)
-                raise StagnationError(
-                    f"residual stalled: {oldest:.3e} -> {r:.3e} over "
-                    f"{self.window} iterations "
-                    f"(needed <= {required:.3e})",
-                    where=self.where,
-                    context={"iteration": iteration, "rnorm": r,
-                             "window_start": oldest},
-                )
 
 
 class WrmsTrendProbe:

@@ -28,13 +28,8 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.guard.config import guard_enabled
 from repro.guard.errors import StagnationError
-from repro.guard.sentinels import (
-    HealthMonitor,
-    WrmsTrendProbe,
-    default_monitor,
-)
+from repro.guard.sentinels import WrmsTrendProbe, default_monitor
 from repro.ode.nvector import HostVector, NVector
 from repro.util.timing import TimerRegistry
 
@@ -107,8 +102,6 @@ class BdfIntegrator:
         mass_mult: Optional[MassFn] = None,
         options: Optional[BdfOptions] = None,
         timers: Optional[TimerRegistry] = None,
-        health: Optional[HealthMonitor] = None,
-        probe: Optional[WrmsTrendProbe] = None,
     ):
         self.rhs = rhs
         self.make_lin_solver = make_lin_solver
@@ -116,10 +109,6 @@ class BdfIntegrator:
         self.opts = options if options is not None else BdfOptions()
         self.stats = StepStats()
         self.timers = timers if timers is not None else TimerRegistry()
-        #: injected sentinels; when None they are armed per-integrate
-        #: under REPRO_GUARD (and absent entirely with guards off)
-        self._health = health
-        self._probe = probe
 
     # ------------------------------------------------------------------
 
@@ -176,15 +165,12 @@ class BdfIntegrator:
         ):
             raise ValueError("t_eval must be increasing in (t0, t_end]")
 
-        # numerical-health sentinels (absent when guards are off)
-        monitor = (
-            self._health if self._health is not None
-            else default_monitor("ode.bdf")
-        )
-        probe = self._probe
-        if probe is None and guard_enabled():
-            probe = WrmsTrendProbe(where="ode.bdf")
+        # numerical-health sentinels, armed per integrate under
+        # REPRO_GUARD and absent when guards are off
+        monitor = default_monitor("ode.bdf")
+        probe = None
         if monitor is not None:
+            probe = WrmsTrendProbe(where="ode.bdf")
             monitor.check_array(u0, "u0")
 
         t = t0
@@ -279,7 +265,7 @@ class BdfIntegrator:
                 h = max(h * max(0.2, 0.9 * err ** (-1.0 / (k_order + 1))),
                         self.opts.h_min)
                 if h <= self.opts.h_min and self.stats.n_err_fails > 50:
-                    if monitor is not None or probe is not None:
+                    if monitor is not None:
                         raise StagnationError(
                             f"BDF step size underflow at t={t}: error "
                             "test keeps failing", where="ode.bdf",
@@ -309,7 +295,7 @@ class BdfIntegrator:
             factor = 0.9 * err ** (-1.0 / (k_order + 1)) if err > 0 else 2.0
             h = min(h * min(max(factor, 0.2), 2.5), self.opts.h_max)
         else:
-            if monitor is not None or probe is not None:
+            if monitor is not None:
                 raise StagnationError(
                     f"max_steps={self.opts.max_steps} exceeded at t={t}",
                     where="ode.bdf",

@@ -1,9 +1,8 @@
 """Explicit adaptive Runge-Kutta (Bogacki-Shampine 3(2)).
 
-The non-stiff companion to :mod:`repro.ode.bdf`: used by tests as an
-independent reference and by examples for mildly stiff warm-up
-problems.  Implements the embedded BS3(2) pair with standard
-proportional step control.
+The non-stiff companion to :mod:`repro.ode.bdf`, used by the tests
+as an independent reference for BDF.  Implements the embedded BS3(2)
+pair with standard proportional step control.
 """
 
 from __future__ import annotations

@@ -48,12 +48,12 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.par.errors import ParError, WorkerCrashError, WorkerTaskError
+from repro.par.errors import WorkerCrashError, WorkerTaskError
 
 #: Environment variable selecting the default backend (``kind[:N]``).
 BACKEND_ENV = "REPRO_PAR"

@@ -136,11 +136,6 @@ class StealScheduler:
         self.steals += 1
         return True
 
-    def pending_spans(self) -> List[Tuple[int, int]]:
-        """Ranges not yet handed out (crash accounting)."""
-        with self._lock:
-            return [span for dq in self._deques for span in dq]
-
 
 def in_steal_worker() -> bool:
     """True when the calling thread is a steal-thread worker."""

@@ -91,9 +91,11 @@ class SimResult:
     in_flight: int = 0
     #: hard-fault events that killed a running job
     failures: int = 0
-    #: killed attempts that were re-queued by the retry policy
+    #: killed attempts re-queued at the fault time (every one is)
     retries: int = 0
-    #: killed jobs abandoned after the retry policy gave up
+    #: killed jobs abandoned instead of re-queued — always 0, since
+    #: every killed job is re-queued; kept because sealed traces, A/B
+    #: reports and the CLI summary carry the key
     dropped: int = 0
     #: jobs refused at enqueue time by the admission controller
     shed: int = 0
@@ -140,7 +142,7 @@ class SimResult:
 
     @property
     def shed_rate(self) -> float:
-        """Shed jobs / resolved jobs (completed, dropped, or shed)."""
+        """Shed jobs / resolved jobs (completed or shed)."""
         resolved = self.completed + self.dropped + self.shed
         return self.shed / resolved if resolved else 0.0
 
@@ -394,11 +396,10 @@ class SimulatorSession(Stateful):
     — :meth:`ClusterSimulator.run`, the traffic driver, capture, A/B
     replay, incident recording and every MuMMI cycle.  Between calls
     the session can snapshot its **entire** live state — event heaps,
-    queue contents, per-job attempt counts, the run record, the fault
-    injector's RNG, a jittered retry policy's RNG, and the admission
-    controller's breaker — and restore it later, in this process or
-    another one.  A run cut anywhere (``advance(k)``, checkpoint,
-    restore into a fresh session, ``advance()``) finishes
+    queue contents, the run record, the fault injector's RNG, and the
+    admission controller's breaker — and restore it later, in this
+    process or another one.  A run cut anywhere (``advance(k)``,
+    checkpoint, restore into a fresh session, ``advance()``) finishes
     bit-identically to the uninterrupted run; ``tests/test_durable.py``
     holds that property.  The reference twin lives one level down, at
     the queue: ``engine="reference"`` drives the same loop through
@@ -413,6 +414,11 @@ class SimulatorSession(Stateful):
     constructed with the same jobs, policy, and engine as the one
     that checkpointed.
 
+    A fault-killed job is re-queued at the fault time, every time:
+    there is no retry cap, so a job whose service outlasts the
+    injector's mean time between faults may never resolve.
+    ``horizon=`` is the one bound on such a run.
+
     Two capture-mode extensions (both default-off, with zero effect
     on the materialized path): ``stream=`` feeds the session from a
     lazy job generator bounded by the horizon instead of a
@@ -420,8 +426,8 @@ class SimulatorSession(Stateful):
     not checkpointable — the generator state cannot be snapshotted),
     and ``tap=`` attaches an observer whose ``on_job(job)`` is called
     once per offered job and ``on_decision(kind, t, job_id)`` on
-    sheds, completions, faults, and drops — the hook live trace
-    capture hangs off.
+    sheds, completions, and faults — the hook live trace capture
+    hangs off.
     """
 
     def __init__(
@@ -431,7 +437,6 @@ class SimulatorSession(Stateful):
         policy=None,
         horizon: Optional[float] = None,
         fault_injector=None,
-        retry_policy=None,
         engine: str = "auto",
         admission=None,
         queue=None,
@@ -459,7 +464,6 @@ class SimulatorSession(Stateful):
         self.n_gpus = n_gpus
         self.horizon = horizon
         self.fault_injector = fault_injector
-        self.retry_policy = retry_policy
         self.admission = admission
         self.queue = queue
         self.tap = tap
@@ -490,10 +494,8 @@ class SimulatorSession(Stateful):
         self.wasted_time = 0.0
         self.t = 0.0
         self.queue_series: List[Tuple[float, int]] = []
-        self.dropped = 0
         self.failures = 0
         self.retries = 0
-        self.attempts: Dict[int, int] = {}
         self.events = 0
         self.next_fault = (
             fault_injector.next_fault_after(0.0)
@@ -516,7 +518,7 @@ class SimulatorSession(Stateful):
             return self._finished
         return (
             self._finished
-            or self.completed + self.dropped + self.shed >= self.n
+            or self.completed + self.shed >= self.n
         )
 
     @property
@@ -542,7 +544,7 @@ class SimulatorSession(Stateful):
         arrival/re-queue batch, a completion, or a fault; at equal
         times a completion beats a fault, and a fault beats an
         arrival or re-queue.  The loop ends when every job is
-        resolved (completed, dropped, or shed), when the next event
+        resolved (completed or shed), when the next event
         lies past the horizon (the clock stops *at* the horizon), or
         when only faults remain — the policy is refusing to start the
         leftover queue.  ``events`` counts the iteration that ends
@@ -551,8 +553,8 @@ class SimulatorSession(Stateful):
         Per job, the loop only appends to the run record
         (``starts``, ``finishes``, ``sheds``); :meth:`result` derives
         the metrics.  The queue's bound methods, the heaps and record
-        lists, the tap hooks and the admission, injector and retry
-        methods are hoisted into locals once per call, and the scalar
+        lists, the tap hooks and the admission and injector methods
+        are hoisted into locals once per call, and the scalar
         state is written back in a ``finally``: a budget stop or an
         exception leaves the session as checkpointable as it would be
         after the same events processed one :meth:`step` at a time.
@@ -568,7 +570,6 @@ class SimulatorSession(Stateful):
         queue = self.queue
         push, select_starts = queue.push, queue.select_starts
         running, requeues = self.running, self.requeues
-        attempts = self.attempts
         stream, arrivals = self._stream, self.arrivals
         n_arrivals = len(arrivals)
         starts, finishes = self.starts.append, self.finishes.append
@@ -593,23 +594,20 @@ class SimulatorSession(Stateful):
             next_fault_after = injector.next_fault_after
             pick_victim = injector.pick_victim
             next_fault = self.next_fault
-        retry_policy = self.retry_policy
-        requeue_delay = None if retry_policy is None else \
-            retry_policy.requeue_delay
         # every push adds one job and select_starts removes the jobs it
         # returns, so the loop counts the queue instead of asking it
         queued = len(queue)
         n, t, events = self.n, self.t, self.events
         next_arrival, requeue_seq = self.next_arrival, self.requeue_seq
         busy_time, wasted_time = self.busy_time, self.wasted_time
-        dropped, failures, retries = self.dropped, self.failures, self.retries
+        failures, retries = self.failures, self.retries
         # lengths of the finish and shed records, for the resolved check
         completed, shed = self.completed, self.shed
         finished = False
         processed = 0
         try:
             while processed != budget:
-                if completed + dropped + shed >= n and (
+                if completed + shed >= n and (
                     stream is None or stream.exhausted
                 ):
                     finished = True
@@ -662,23 +660,13 @@ class SimulatorSession(Stateful):
                         wasted_time += lost
                         if record_failure is not None:
                             record_failure(t, job)
-                        attempt = attempts.get(job_id, 0) + 1
-                        attempts[job_id] = attempt
-                        delay = (
-                            0.0 if requeue_delay is None
-                            else requeue_delay(attempt)
-                        )
-                        if delay is None:
-                            dropped += 1
-                            if on_decision is not None:
-                                on_decision("drop", t, job_id)
-                        else:
-                            retries += 1
-                            requeue_seq += 1
-                            heappush(requeues, (
-                                t + delay, requeue_seq,
-                                replace(job, arrival=t + delay),
-                            ))
+                        # re-admitted in a later event at this time,
+                        # after this time's first arrivals
+                        retries += 1
+                        requeue_seq += 1
+                        heappush(requeues, (
+                            t, requeue_seq, replace(job, arrival=t),
+                        ))
                 else:
                     # first arrivals, then re-queues, each through
                     # admission; a shed job never reaches the queue
@@ -746,8 +734,7 @@ class SimulatorSession(Stateful):
             self.n, self.t, self.events = n, t, events
             self.next_arrival, self.requeue_seq = next_arrival, requeue_seq
             self.busy_time, self.wasted_time = busy_time, wasted_time
-            self.dropped, self.failures, self.retries = \
-                dropped, failures, retries
+            self.failures, self.retries = failures, retries
             if injector is not None:
                 self.next_fault = next_fault
             if finished:
@@ -833,7 +820,6 @@ class SimulatorSession(Stateful):
             in_flight=len(self.running),
             failures=self.failures,
             retries=self.retries,
-            dropped=self.dropped,
             shed=self.shed,
             wasted_time=self.wasted_time,
             goodput=min(goodput, 1.0),
@@ -854,19 +840,17 @@ class SimulatorSession(Stateful):
     #: the run record as shallow copies (Jobs are frozen dataclasses,
     #: so a copied container is a full snapshot, and the whole dict
     #: pickles for the durable layer), then the queue, injector and
-    #: admission checkpoints, plus a ``"retry"`` entry when the retry
-    #: policy draws from an RNG
+    #: admission checkpoints
     _STATE = (
         *fields(
             "t", "events", "next_arrival", "requeues", "requeue_seq",
-            "running", "attempts", "starts", "finishes", "sheds",
-            "queue_series", "busy_time", "wasted_time", "dropped",
-            "failures", "retries", "next_fault", "_finished", kind=COPY,
+            "running", "starts", "finishes", "sheds", "queue_series",
+            "busy_time", "wasted_time", "failures", "retries",
+            "next_fault", "_finished", kind=COPY,
         ),
         Field("queue", NESTED),
         Field("injector", NESTED, "fault_injector"),
         Field("admission", NESTED),
-        Field("retry", NESTED, "retry_policy", optional=True),
     )
 
     def checkpoint_state(self) -> Dict:
@@ -906,7 +890,6 @@ class ClusterSimulator:
         policy,
         horizon: Optional[float] = None,
         fault_injector=None,
-        retry_policy=None,
         engine: str = "auto",
         admission=None,
     ) -> SimResult:
@@ -914,12 +897,11 @@ class ClusterSimulator:
 
         With a *fault_injector*, hard faults arrive as a Poisson
         process (the injector's MTBF); each fault kills one running
-        job, whose work so far is wasted.  The *retry_policy*
-        (``requeue_delay(attempt) -> delay | None``) decides whether
-        and when the killed job re-enters the queue; ``None`` retries
-        immediately and forever.  A job is *resolved* when it
-        completes, is dropped by the retry policy, or is shed by the
-        admission controller.
+        job, whose work so far is wasted, and re-queues it at the fault
+        time.  A job is *resolved* when it completes or is shed by the
+        admission controller.  There is no retry cap: a job whose
+        service outlasts the fault rate may never complete, and
+        *horizon* is the one bound on such a run.
 
         *admission* (a
         :class:`repro.guard.deadline.AdmissionController` or anything
@@ -939,7 +921,7 @@ class ClusterSimulator:
         With ``REPRO_OBS_VALIDATE`` set and a fast queue in play, the
         run is validated: the same loop replays the same jobs on the
         reference queue (and, via checkpoint/restore, the same fault
-        schedule, retry jitter and admission state) and the two
+        schedule and admission state) and the two
         :class:`SimResult`\\ s must be bit-identical — the
         fast-engine contract, enforced at runtime.
         """
@@ -953,14 +935,14 @@ class ClusterSimulator:
         def drive(queue) -> SimResult:
             return SimulatorSession(
                 self.n_gpus, jobs, horizon=horizon,
-                fault_injector=fault_injector, retry_policy=retry_policy,
-                admission=admission, queue=queue,
+                fault_injector=fault_injector, admission=admission,
+                queue=queue,
             ).run_to_completion()
 
         # the reference replay rewinds these to where the fast run
         # began (the injector draws its first fault time when the
         # session is built), then leaves them where the fast run ended
-        loop_inputs = (fault_injector, retry_policy, admission)
+        loop_inputs = (fault_injector, admission)
         pre = [checkpoint_of(x) for x in loop_inputs] if validate else None
         with _trace.span("sched.run", jobs=len(jobs), gpus=self.n_gpus,
                          engine="fast" if is_fast else "reference"):

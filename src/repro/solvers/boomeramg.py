@@ -28,11 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.core.forall import ExecutionContext
-from repro.guard.sentinels import (
-    HealthMonitor,
-    ResidualTrendProbe,
-    default_monitor,
-)
+from repro.guard.sentinels import default_monitor
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.solvers.coarsen import (
@@ -269,14 +265,11 @@ class BoomerAMG:
         x0: Optional[np.ndarray] = None,
         tol: float = 1e-8,
         max_iter: int = 100,
-        health: Optional[HealthMonitor] = None,
-        probe: Optional[ResidualTrendProbe] = None,
     ) -> "AmgSolve":
         """Stepwise (checkpointable) stand-alone AMG solve."""
         if self.hierarchy is None:
             raise RuntimeError("call setup() before solve()")
-        return AmgSolve(self, b, x0=x0, tol=tol, max_iter=max_iter,
-                        health=health, probe=probe)
+        return AmgSolve(self, b, x0=x0, tol=tol, max_iter=max_iter)
 
     # ------------------------------------------------------------------
 
@@ -314,8 +307,6 @@ class AmgSolve(Stateful):
         x0: Optional[np.ndarray] = None,
         tol: float = 1e-8,
         max_iter: int = 100,
-        health: Optional[HealthMonitor] = None,
-        probe: Optional[ResidualTrendProbe] = None,
     ):
         if amg.hierarchy is None:
             raise RuntimeError("call setup() before AmgSolve")
@@ -325,10 +316,7 @@ class AmgSolve(Stateful):
         self.b = np.asarray(b, dtype=np.float64)
         self.max_iter = max_iter
         # sentinels: auto-armed under REPRO_GUARD, None when off
-        self._health = health if health is not None else default_monitor(
-            "solvers.amg"
-        )
-        self._probe = probe
+        self._health = default_monitor("solvers.amg")
         if self._health is not None:
             self._health.check_array(self.b, "b")
         self.x = (
@@ -360,8 +348,6 @@ class AmgSolve(Stateful):
         if self._health is not None:
             self._health.check_value(rnorm, "residual norm",
                                      context={"iteration": self.it})
-            if self._probe is not None:
-                self._probe.observe(rnorm, iteration=self.it)
         self.norms.append(rnorm)
         self.it += 1
         if rnorm <= self.target:

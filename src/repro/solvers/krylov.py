@@ -14,11 +14,7 @@ from typing import Callable, List, Optional, Union
 import numpy as np
 
 from repro.guard.errors import BreakdownError, NonFiniteError
-from repro.guard.sentinels import (
-    HealthMonitor,
-    ResidualTrendProbe,
-    default_monitor,
-)
+from repro.guard.sentinels import default_monitor
 from repro.solvers.csr import CsrMatrix
 from repro.util.state import COPY, Field, Stateful, convert, fields
 
@@ -82,8 +78,6 @@ class PcgSolver(Stateful):
         preconditioner: Optional[Operator] = None,
         tol: float = 1e-8,
         max_iter: int = 500,
-        health: Optional[HealthMonitor] = None,
-        probe: Optional[ResidualTrendProbe] = None,
     ):
         if max_iter < 0:
             raise ValueError("max_iter must be >= 0")
@@ -94,10 +88,7 @@ class PcgSolver(Stateful):
         # sentinels: auto-armed under REPRO_GUARD, absent (None) when
         # guards are off — the disabled path is the pre-guard loop plus
         # one `is None` test per step
-        self._health = health if health is not None else default_monitor(
-            "solvers.pcg"
-        )
-        self._probe = probe
+        self._health = default_monitor("solvers.pcg")
         if self._health is not None:
             self._health.check_array(self.b, "b")
         self.x = (
@@ -154,8 +145,6 @@ class PcgSolver(Stateful):
         if self._health is not None:
             self._health.check_value(rnorm, "residual norm",
                                      context={"iteration": self.it})
-            if self._probe is not None:
-                self._probe.observe(rnorm, iteration=self.it)
         self.norms.append(rnorm)
         self.it += 1
         if rnorm <= self.target:
@@ -203,20 +192,18 @@ def pcg(
     preconditioner: Optional[Operator] = None,
     tol: float = 1e-8,
     max_iter: int = 500,
-    health: Optional[HealthMonitor] = None,
-    probe: Optional[ResidualTrendProbe] = None,
 ) -> "tuple[np.ndarray, ConvergenceInfo]":
     """Preconditioned conjugate gradients for SPD systems.
 
     Convergence test: ||r||_2 <= tol * ||b||_2 (hypre's default
-    relative criterion).  Under ``REPRO_GUARD`` (or with an explicit
-    *health* monitor) NaN/Inf inputs and ``p.Ap <= 0`` breakdowns
-    raise a typed :class:`NumericalHealthError` carrying the iteration
-    context instead of iterating to ``max_iter``.
+    relative criterion).  Under ``REPRO_GUARD`` NaN/Inf inputs and
+    ``p.Ap <= 0`` breakdowns raise a typed
+    :class:`NumericalHealthError` carrying the iteration context
+    instead of iterating to ``max_iter``.
     """
     return PcgSolver(
         a, b, x0=x0, preconditioner=preconditioner, tol=tol,
-        max_iter=max_iter, health=health, probe=probe,
+        max_iter=max_iter,
     ).solve()
 
 
@@ -228,16 +215,15 @@ def gmres(
     tol: float = 1e-8,
     restart: int = 30,
     max_iter: int = 500,
-    health: Optional[HealthMonitor] = None,
 ) -> "tuple[np.ndarray, ConvergenceInfo]":
     """Restarted GMRES(m) with left preconditioning.
 
     Handles non-symmetric systems (Cretin's rate matrices are
     non-symmetric, §4.3); the Arnoldi basis is re-orthogonalized via
-    modified Gram-Schmidt.  Under ``REPRO_GUARD`` (or with an explicit
-    *health* monitor), NaN/Inf in the inputs or the Arnoldi recurrence
-    and a zero Givens denominator with an unconverged residual raise
-    typed :class:`NumericalHealthError`\\ s with iteration context.
+    modified Gram-Schmidt.  Under ``REPRO_GUARD``, NaN/Inf in the
+    inputs or the Arnoldi recurrence and a zero Givens denominator
+    with an unconverged residual raise typed
+    :class:`NumericalHealthError`\\ s with iteration context.
     """
     b = np.asarray(b, dtype=np.float64)
     n = b.shape[0]
@@ -246,8 +232,7 @@ def gmres(
         raise ValueError("restart must be >= 1")
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
-    if health is None:
-        health = default_monitor("solvers.gmres")
+    health = default_monitor("solvers.gmres")
     if health is not None:
         health.check_array(b, "b")
 

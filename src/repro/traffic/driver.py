@@ -209,7 +209,6 @@ class OpenLoopDriver:
         policy: str = "fcfs",
         admission: Optional[AdmissionSpec] = None,
         chaos: Optional[ChaosSpec] = None,
-        retry_policy=None,
         horizon: Optional[float] = None,
         engine: str = "auto",
         tenancy=None,
@@ -227,7 +226,6 @@ class OpenLoopDriver:
         self.policy = policy
         self.admission = admission
         self.chaos = chaos
-        self.retry_policy = retry_policy
         self.horizon = horizon
         self.engine = engine
         #: :class:`repro.tenant.TenancySpec` — multi-tenant mode
@@ -312,7 +310,7 @@ class OpenLoopDriver:
         session = SimulatorSession(
             self.n_gpus, jobs, _POLICIES[self.policy](self.n_gpus),
             horizon=self.horizon, fault_injector=injector,
-            retry_policy=self.retry_policy, engine=self.engine,
+            engine=self.engine,
             admission=admission, stream=stream, tap=tap,
         )
         result = session.run_to_completion()

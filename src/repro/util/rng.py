@@ -15,7 +15,7 @@ spawned children without spawning them.
 from __future__ import annotations
 
 import operator
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence

@@ -48,10 +48,8 @@ def convert(save: Callable[[Any], Any],
 
 def checkpoint_of(owner) -> Optional[Dict[str, Any]]:
     """*owner*'s ``checkpoint_state()``, or ``None`` when it is absent
-    or keeps no state (a stateless retry policy has no
-    ``checkpoint_state``; a jitter-free
-    :class:`~repro.resilience.retry.ExponentialBackoff` returns
-    ``None`` from it)."""
+    or keeps no state (an owner without a ``checkpoint_state``, or a
+    :class:`Stateful` with an empty ``_STATE``)."""
     save = getattr(owner, "checkpoint_state", None)
     return None if save is None else save()
 
@@ -85,22 +83,18 @@ class Field:
     """One named piece of checkpoint state.
 
     *key* is the checkpoint dict key and *path* the attribute holding
-    the value (*key* itself by default).  An *optional* field is left
-    out of the checkpoint when its saved value is ``None`` and skipped
-    on restore when absent: a retry policy that draws no jitter adds
-    no ``"retry"`` entry.
+    the value (*key* itself by default).
     """
 
-    __slots__ = ("key", "parents", "attr", "save", "load", "optional")
+    __slots__ = ("key", "parents", "attr", "save", "load")
 
     def __init__(self, key: str, kind: Kind = VALUE,
-                 path: Optional[str] = None, optional: bool = False):
+                 path: Optional[str] = None):
         *parents, attr = (path or key).split(".")
         self.key = key
         self.parents = tuple(parents)
         self.attr = attr
         self.save, self.load = kind
-        self.optional = optional
 
     def owner(self, obj):
         """The object holding the attribute; ``None`` when an object
@@ -148,19 +142,14 @@ class Stateful:
         state = {}
         for field in schema:
             owner = field.owner(self)
-            saved = field.save(
+            state[field.key] = field.save(
                 None if owner is None else getattr(owner, field.attr)
             )
-            if saved is None and field.optional:
-                continue
-            state[field.key] = saved
         return state
 
     def restore_state(self, state: Dict[str, Any]) -> None:
         """Write every ``_STATE`` field of *state* back, in order."""
         for field in self._STATE:
-            if field.optional and field.key not in state:
-                continue
             owner = field.owner(self)
             if owner is not None:
                 setattr(owner, field.attr, field.load(

@@ -8,7 +8,7 @@ EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 
 def format_seconds(seconds: float) -> str:

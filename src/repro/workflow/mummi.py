@@ -126,8 +126,7 @@ class MummiCampaign(Stateful):
     Generators and the evaluation stream's spawn count, the
     explored/novelty history, the accounting, the fault injector's
     stream (so a restart replays the same downstream fault schedule)
-    and the guards' state — plus a ``"retry"`` entry when the retry
-    policy draws jitter from an RNG.
+    and the guards' state.
     """
 
     _STATE = (
@@ -154,7 +153,6 @@ class MummiCampaign(Stateful):
         Field("wasted_gpu_hours"),
         Field("injector", NESTED, "fault_injector"),
         *fields("breaker", "admission", "ladder", kind=NESTED),
-        Field("retry", NESTED, "retry_policy", optional=True),
     )
 
     def __init__(
@@ -166,7 +164,6 @@ class MummiCampaign(Stateful):
         jobs_per_cycle: int = 24,
         seed: int = 0,
         fault_injector=None,
-        retry_policy=None,
         cycle_budget: Optional[float] = None,
         breaker=None,
         admission=None,
@@ -203,7 +200,6 @@ class MummiCampaign(Stateful):
         #: per-call execution backend spec (None -> REPRO_PAR env)
         self.backend = backend
         self.fault_injector = fault_injector
-        self.retry_policy = retry_policy
         #: per-cycle wall-clock budget (simulated seconds); overruns are
         #: surfaced via the ``workflow.mummi.cycle_over_budget`` counter
         #: and, with an admission controller attached, become per-job
@@ -315,7 +311,6 @@ class MummiCampaign(Stateful):
         result = ClusterSimulator(self.n_gpus).run(
             jobs, Fcfs(),
             fault_injector=self.fault_injector,
-            retry_policy=self.retry_policy,
             admission=self.admission,
         )
         # in-situ analysis: summarize each micro sim and feed back

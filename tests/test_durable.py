@@ -541,19 +541,14 @@ def _make_admission(kind):
 
 def _build_session(engine="auto", fault=True, admission="breaker", seed=2,
                    jobs=None):
-    """A session with chaos, a jittered backoff and *admission*; the
-    *seed* feeds both RNG streams (injector and retry jitter)."""
-    from repro.resilience import ExponentialBackoff, FaultInjector
+    """A session with chaos and *admission*; the *seed* feeds the
+    injector's RNG stream."""
+    from repro.resilience import FaultInjector
     from repro.sched import SimulatorSession, SjfWithQuota
 
     return SimulatorSession(
         8, _session_jobs() if jobs is None else jobs, SjfWithQuota(8),
         fault_injector=FaultInjector(mtbf=40.0, seed=seed) if fault else None,
-        retry_policy=(
-            ExponentialBackoff(base=1.0, jitter=0.5, max_retries=3,
-                               rng=np.random.default_rng(seed))
-            if fault else None
-        ),
         engine=engine, admission=_make_admission(admission),
     )
 
@@ -582,7 +577,7 @@ class TestSimulatorSession:
     def test_cut_anywhere_resumes_bit_exact(self, k, admission):
         """``advance(k)``, pickle the checkpoint, restore into a fresh
         *differently seeded* session, ``advance()``: the result equals
-        the uninterrupted run — chaos, jittered retries, breakers and
+        the uninterrupted run — chaos, re-queued retries, breakers and
         the tenancy registry included."""
         ref = _build_session(admission=admission).run_to_completion()
         cut = _build_session(admission=admission)
@@ -632,7 +627,7 @@ class TestSimulatorSession:
         fraction, so the pinned values hold on any platform; with no
         second event loop to compare against, they are the guard
         against semantic drift (event order, shed reasons, breaker,
-        retry cap)."""
+        re-queue at the fault time)."""
         assert self._golden_tenant_fields(tagged=False) == \
             ({}, {}, {}, {}, {})
 
@@ -643,13 +638,13 @@ class TestSimulatorSession:
         per-tenant fields :meth:`SimulatorSession.result` derives
         from the run record are pinned too."""
         assert self._golden_tenant_fields(tagged=True) == (
-            {"a": [0.0, 0.5, 1.25, 0.25, 1.75], "b": [0.0, 1.75, 1.0],
-             "c": [0.0, 1.25, 1.25, 0.5]},
-            {"a": [4.0, 5.5, 4.25, 5.25, 5.75], "b": [3.0, 2.75, 2.0],
-             "c": [2.0, 3.25, 3.25, 2.5]},
-            {"a": 4, "b": 2, "c": 1},
-            {"a": 16.0, "b": 2.0, "c": 2.0},
-            {"b": 2, "c": 2},
+            {"a": [0.0, 0.5, 1.25, 0.25], "b": [0.0, 1.75, 0.0],
+             "c": [0.0, 1.75, 0.0, 0.25, 0.0]},
+            {"a": [4.0, 5.5, 4.25, 4.25], "b": [3.0, 2.75, 1.0],
+             "c": [2.0, 3.75, 2.0, 2.25, 2.0]},
+            {"a": 3, "b": 2, "c": 3},
+            {"a": 11.0, "b": 2.0, "c": 6.0},
+            {"a": 1, "b": 2, "c": 1},
         )
 
     @staticmethod
@@ -657,7 +652,6 @@ class TestSimulatorSession:
         """Run the golden schedule, check its pins, and return the
         result's five per-tenant fields."""
         from repro.guard.deadline import AdmissionController, CircuitBreaker
-        from repro.resilience import CappedRetry
         from repro.sched import ClusterSimulator, Fcfs
         from repro.sched.simulator import Job
 
@@ -680,31 +674,30 @@ class TestSimulatorSession:
             jobs, Fcfs(),
             fault_injector=_ScriptedFaults([1.5, 2.75, 3.25, 7.0, 9.5],
                                            [0, 0, 1, 0, 0]),
-            retry_policy=CappedRetry(max_retries=1, delay=0.5),
             admission=admission,
         )
         assert result.completions == [
-            (3.75, 4), (4.0, 0), (5.25, 2), (6.75, 6), (8.0, 10),
-            (9.0, 3), (10.75, 9),
+            (3.75, 4), (4.0, 0), (5.25, 2), (6.0, 8), (6.75, 6),
+            (7.0, 10), (9.0, 11), (9.25, 9),
         ]
         assert list(admission.shed_log) == [
-            (5, "deadline_backlog"), (7, "queue_saturated"),
-            (1, "breaker_open"), (11, "queue_saturated"),
+            (5, "deadline_backlog"), (1, "queue_saturated"),
+            (7, "queue_saturated"), (3, "breaker_open"),
         ]
         assert result.queue_series == [
-            (0.0, 0), (0.5, 0), (1.0, 2), (1.5, 1), (2.0, 2), (2.5, 3),
-            (2.75, 2), (2.875, 2), (3.25, 1), (3.25, 1), (3.75, 0),
-            (3.75, 1), (4.0, 0), (4.0, 1), (5.0, 2), (5.25, 1), (6.0, 2),
-            (6.5, 2), (6.75, 1), (7.0, 0), (7.5, 1), (8.0, 0), (9.0, 0),
-            (9.5, 0), (10.75, 0),
+            (0.0, 0), (0.5, 0), (1.0, 2), (1.5, 1), (1.5, 2), (2.0, 2),
+            (2.5, 3), (2.75, 2), (2.75, 2), (2.875, 2), (3.25, 1),
+            (3.25, 1), (3.75, 0), (4.0, 0), (4.0, 0), (5.0, 1), (5.25, 0),
+            (6.0, 0), (6.0, 0), (6.5, 1), (6.75, 0), (7.0, 0), (7.0, 0),
+            (7.0, 0), (9.0, 0), (9.25, 0),
         ]
         assert (result.completed, result.started, result.failures,
                 result.retries, result.dropped, result.shed) == \
-            (7, 12, 5, 4, 1, 4)
-        assert (result.makespan, result.wasted_time) == (10.75, 8.75)
+            (8, 12, 4, 4, 0, 4)
+        assert (result.makespan, result.wasted_time) == (9.25, 5.75)
         assert admission.breaker.trips == 1
         assert result.waits == [
-            0.0, 0.0, 0.0, 0.5, 1.75, 1.25, 1.25, 0.25, 1.25, 1.75, 1.0, 0.5,
+            0.0, 0.0, 0.0, 0.5, 1.75, 1.75, 1.25, 0.0, 0.25, 0.0, 0.25, 0.0,
         ]
         return (
             result.tenant_waits, result.tenant_turnarounds,
@@ -713,7 +706,7 @@ class TestSimulatorSession:
         )
 
     def test_checkpoint_resume_is_bit_exact(self):
-        from repro.resilience import FaultInjector, ImmediateRetry
+        from repro.resilience import FaultInjector
         from repro.sched import SimulatorSession, Sjf, batch_workload
 
         jobs = batch_workload(n_jobs=300, seed=9)
@@ -722,7 +715,6 @@ class TestSimulatorSession:
             return SimulatorSession(
                 8, jobs, Sjf(),
                 fault_injector=FaultInjector(mtbf=60.0, seed=seed),
-                retry_policy=ImmediateRetry(),
             )
 
         ref = build(2).run_to_completion()
@@ -735,8 +727,6 @@ class TestSimulatorSession:
         s2 = build(999)
         s2.restore_state(pickle.loads(blob))
         assert s2.run_to_completion() == ref
-        # stateless retry policies add no checkpoint entry
-        assert "retry" not in s1.checkpoint_state()
 
     def test_session_under_durable_store(self, tmp_path):
         from repro.sched import (

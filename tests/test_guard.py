@@ -1,5 +1,5 @@
-"""Unit tests for the guard layer: sentinels, fallback chains,
-deadline/shedding primitives, and the hardened retry policies."""
+"""Unit tests for the guard layer: the guard switch, the sentinels,
+and the deadline/shedding primitives."""
 
 import numpy as np
 import pytest
@@ -9,22 +9,16 @@ from repro.guard import (
     AdmissionController,
     BreakdownError,
     CircuitBreaker,
-    DeadlineExceededError,
     DivergedError,
-    FallbackChain,
-    FallbackExhaustedError,
     GuardError,
     HealthMonitor,
     NonFiniteError,
     NumericalHealthError,
     OverflowHealthError,
-    ResidualTrendProbe,
     StagnationError,
     WrmsTrendProbe,
     guard_enabled,
-    guard_mode,
     guard_override,
-    guard_strict,
 )
 from repro.guard.sentinels import default_monitor
 from repro.obs import metrics as obs_metrics
@@ -37,34 +31,37 @@ def counter_value(name):
 class TestGuardConfig:
     def test_off_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_GUARD", raising=False)
-        assert guard_mode() == "off"
         assert not guard_enabled()
-        assert not guard_strict()
 
     @pytest.mark.parametrize("value", ["0", "off", "false", "no", "none"])
     def test_off_values(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_GUARD", value)
-        assert guard_mode() == "off"
+        assert not guard_enabled()
 
     @pytest.mark.parametrize("value", ["on", "record", "warn", "ON"])
     def test_on_values(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_GUARD", value)
-        assert guard_mode() == "on"
         assert guard_enabled()
-        assert not guard_strict()
 
     @pytest.mark.parametrize("value", ["strict", "1", "anything"])
     def test_strict_values(self, monkeypatch, value):
+        """There is no strict mode: the old strict values arm the
+        guards like any other non-off value."""
         monkeypatch.setenv("REPRO_GUARD", value)
-        assert guard_mode() == "strict"
         assert guard_enabled()
-        assert guard_strict()
 
     def test_override_restores(self, monkeypatch):
         monkeypatch.delenv("REPRO_GUARD", raising=False)
-        with guard_override("strict"):
-            assert guard_strict()
-        assert guard_mode() == "off"
+        with guard_override("on"):
+            assert guard_enabled()
+        assert not guard_enabled()
+
+    def test_override_rejects_unknown_mode(self, monkeypatch):
+        monkeypatch.delenv("REPRO_GUARD", raising=False)
+        with pytest.raises(ValueError):
+            with guard_override("strict"):
+                pass
+        assert not guard_enabled()
 
     def test_default_monitor_gated(self, monkeypatch):
         monkeypatch.delenv("REPRO_GUARD", raising=False)
@@ -114,34 +111,6 @@ class TestHealthMonitor:
             HealthMonitor(magnitude_bound=0.0)
 
 
-class TestResidualTrendProbe:
-    def test_converging_series_ok(self):
-        probe = ResidualTrendProbe(window=5)
-        r = 1.0
-        for i in range(50):
-            probe.observe(r, iteration=i)
-            r *= 0.5
-
-    def test_divergence_trips(self):
-        probe = ResidualTrendProbe(diverge_ratio=10.0)
-        probe.observe(1.0)
-        probe.observe(0.1)
-        with pytest.raises(DivergedError) as exc:
-            probe.observe(5.0)
-        assert exc.value.context["best"] == pytest.approx(0.1)
-
-    def test_stagnation_trips(self):
-        probe = ResidualTrendProbe(window=4, stall_ratio=0.9)
-        with pytest.raises(StagnationError):
-            for i in range(20):
-                probe.observe(1.0, iteration=i)
-
-    def test_nonfinite_trips(self):
-        probe = ResidualTrendProbe()
-        with pytest.raises(NonFiniteError):
-            probe.observe(float("nan"))
-
-
 class TestWrmsTrendProbe:
     def test_accept_resets_rejects(self):
         probe = WrmsTrendProbe(max_consecutive_rejects=3)
@@ -169,62 +138,6 @@ class TestWrmsTrendProbe:
         probe = WrmsTrendProbe()
         with pytest.raises(NonFiniteError):
             probe.observe(float("inf"), 0.1, 0.0, accepted=True)
-
-
-class TestFallbackChain:
-    def test_healthy_serves_first_rung(self):
-        chain = FallbackChain("t").add("a", lambda: 1).add("b", lambda: 2)
-        out = chain.run()
-        assert out.value == 1
-        assert out.rung == 0
-        assert out.rung_name == "a"
-        assert not out.degraded
-        assert chain.served == ["a"]
-
-    def test_escalation_records_trips(self):
-        def bad():
-            raise NonFiniteError("boom", where="t")
-
-        chain = FallbackChain("t2").add("a", bad).add("b", lambda: 2)
-        out = chain.run()
-        assert out.value == 2
-        assert out.degraded
-        assert len(out.trips) == 1
-        assert counter_value("guard.fallback.t2.trips.a") == 1
-        assert counter_value("guard.fallback.t2.served.b") == 1
-        assert counter_value("guard.fallback.t2.degraded") == 1
-
-    def test_deadline_error_escalates(self):
-        def slow():
-            raise DeadlineExceededError("late", where="t")
-
-        chain = FallbackChain("t3").add("a", slow).add("b", lambda: "ok")
-        assert chain.run().value == "ok"
-
-    def test_exhaustion_raises_typed(self):
-        def bad():
-            raise StagnationError("stuck", where="t")
-
-        chain = FallbackChain("t4").add("a", bad).add("b", bad)
-        with pytest.raises(FallbackExhaustedError) as exc:
-            chain.run()
-        assert len(exc.value.errors) == 2
-
-    def test_non_health_errors_propagate(self):
-        def typo():
-            raise KeyError("not a health error")
-
-        chain = FallbackChain("t5").add("a", typo).add("b", lambda: 1)
-        with pytest.raises(KeyError):
-            chain.run()
-
-    def test_empty_chain_rejected(self):
-        with pytest.raises(ValueError):
-            FallbackChain("empty").run()
-
-    def test_args_passed_through(self):
-        chain = FallbackChain("t6").add("a", lambda x, k=0: x + k)
-        assert chain.run(2, k=3).value == 5
 
 
 class TestCircuitBreaker:
@@ -277,16 +190,6 @@ class TestCircuitBreaker:
         assert br.state == "open"
         assert br.opened_at == 3.0
 
-    def test_strict_require_raises(self):
-        from repro.guard.errors import CircuitOpenError
-
-        br = CircuitBreaker(failure_threshold=1, recovery_time=100.0)
-        br.record_failure(0.0)
-        with guard_override("strict"):
-            with pytest.raises(CircuitOpenError):
-                br.require(1.0)
-        with guard_override("off"):
-            br.require(1.0)  # non-strict: silent degradation
 
 
 class _FakeJob:
@@ -356,71 +259,6 @@ class TestAdmissionController:
         assert br.state == "open"
 
 
-class TestRetryHardening:
-    def test_attempt_type_rejected(self):
-        from repro.resilience.retry import (
-            CappedRetry, ExponentialBackoff, ImmediateRetry,
-        )
-
-        for policy in (ImmediateRetry(), CappedRetry(),
-                       ExponentialBackoff()):
-            with pytest.raises(TypeError):
-                policy.requeue_delay(True)
-            with pytest.raises(TypeError):
-                policy.requeue_delay(1.0)
-            with pytest.raises(TypeError):
-                policy.requeue_delay("1")
-            with pytest.raises(ValueError):
-                policy.requeue_delay(0)
-            with pytest.raises(ValueError):
-                policy.requeue_delay(-3)
-
-    def test_backoff_never_overflows(self):
-        import sys
-
-        from repro.resilience.retry import ExponentialBackoff
-
-        eb = ExponentialBackoff(base=1.0, factor=2.0,
-                                max_retries=10_000)
-        # 2.0 ** 1099 overflows a float; the policy must saturate
-        d = eb.requeue_delay(1100)
-        assert d == sys.float_info.max
-        eb2 = ExponentialBackoff(base=1.0, factor=2.0, max_delay=60.0,
-                                 max_retries=10_000)
-        assert eb2.requeue_delay(1100) == 60.0
-        assert eb2.requeue_delay(5000) == 60.0
-
-    def test_backoff_regular_values_unchanged(self):
-        from repro.resilience.retry import ExponentialBackoff
-
-        eb = ExponentialBackoff(base=0.5, factor=2.0, max_delay=100.0)
-        assert eb.requeue_delay(1) == 0.5
-        assert eb.requeue_delay(3) == 2.0
-        assert eb.requeue_delay(16) == 100.0
-        assert eb.requeue_delay(17) is None
-
-    def test_jitter_requires_injected_rng(self):
-        from repro.resilience.retry import ExponentialBackoff
-
-        with pytest.raises(ValueError):
-            ExponentialBackoff(jitter=0.5)
-        with pytest.raises(ValueError):
-            ExponentialBackoff(jitter=1.5, rng=np.random.default_rng(0))
-
-    def test_jitter_deterministic_and_bounded(self):
-        from repro.resilience.retry import ExponentialBackoff
-
-        def delays(seed):
-            eb = ExponentialBackoff(base=1.0, factor=2.0, jitter=0.25,
-                                    rng=np.random.default_rng(seed))
-            return [eb.requeue_delay(a) for a in range(1, 9)]
-
-        assert delays(7) == delays(7)
-        for a, d in enumerate(delays(7), start=1):
-            nominal = 2.0 ** (a - 1)
-            assert 0.75 * nominal <= d <= 1.25 * nominal
-
-
 class TestKrylovSentinels:
     def _spd(self, n=32):
         from repro.solvers.csr import CsrMatrix
@@ -438,7 +276,7 @@ class TestKrylovSentinels:
         a = self._spd()
         b = np.ones(a.n_rows)
         b[3] = np.nan
-        with guard_override("strict"):
+        with guard_override("on"):
             with pytest.raises(NonFiniteError) as exc:
                 pcg(a, b)
         assert exc.value.where == "solvers.pcg"
@@ -459,7 +297,7 @@ class TestKrylovSentinels:
 
         a = CsrMatrix(np.diag([1.0, -1.0]))  # indefinite: not SPD
         b = np.array([1.0, 1.0])
-        with guard_override("strict"):
+        with guard_override("on"):
             with pytest.raises(BreakdownError) as exc:
                 pcg(a, b)
         assert "iteration" in exc.value.context
@@ -472,24 +310,12 @@ class TestKrylovSentinels:
 
         a = self._spd()
         b = np.full(a.n_rows, np.inf)
-        with guard_override("strict"):
+        with guard_override("on"):
             with pytest.raises(NonFiniteError) as exc:
                 gmres(a, b)
         assert exc.value.where == "solvers.gmres"
         with guard_override("off"):
             gmres(a, b, max_iter=3)  # legacy: no raise
-
-    def test_probe_attaches_to_pcg(self):
-        from repro.solvers.krylov import pcg
-
-        a = self._spd()
-        b = np.ones(a.n_rows)
-        probe = ResidualTrendProbe(where="test.pcg", window=5,
-                                   stall_ratio=0.5)
-        # the 1D laplacian converges slower than 0.5**5 per 5 its
-        with guard_override("strict"):
-            with pytest.raises(StagnationError):
-                pcg(a, b, tol=1e-14, max_iter=500, probe=probe)
 
 
 class TestDdcmdSentinel:
@@ -505,14 +331,14 @@ class TestDdcmdSentinel:
 
     def test_unstable_dt_trips(self):
         sim = self._sim(dt=5.0)  # wildly unstable
-        with guard_override("strict"):
+        with guard_override("on"):
             with pytest.raises(NumericalHealthError):
                 for _ in range(50):
                     sim.step()
 
     def test_stable_run_clean(self):
         sim = self._sim()
-        with guard_override("strict"):
+        with guard_override("on"):
             sim.run(20)
 
     def test_neighbor_invalidate_forces_rebuild(self):
@@ -523,35 +349,6 @@ class TestDdcmdSentinel:
         sim.step()
         assert sim.nlist.builds == builds + 1
 
-    def test_guarded_md_step_recovers_transient(self):
-        from repro.guard import guarded_md_step
-
-        sim = self._sim()
-        sim.step()
-        orig_step = sim.step
-        state = {"failed": False}
-
-        def flaky_step():
-            if not state["failed"]:
-                state["failed"] = True
-                raise NonFiniteError("injected transient", where="test")
-            orig_step()
-
-        sim.step = flaky_step
-        before = counter_value("guard.md.rejected_steps")
-        out = guarded_md_step(sim)
-        assert out.rung_name == "reject-rebuild"
-        assert out.degraded
-        assert counter_value("guard.md.rejected_steps") == before + 1
-
-    def test_guarded_md_step_healthy_serves_plain(self):
-        from repro.guard import guarded_md_step
-
-        sim = self._sim()
-        out = guarded_md_step(sim)
-        assert out.rung_name == "step"
-        assert not out.degraded
-
 
 class TestIonModelSentinel:
     def test_nonphysical_voltage_trips(self):
@@ -559,7 +356,7 @@ class TestIonModelSentinel:
 
         model = HodgkinHuxleyModel(8)
         model.v = np.full(8, 1000.0)  # way outside +-500 mV
-        with guard_override("strict"):
+        with guard_override("on"):
             with pytest.raises(NumericalHealthError):
                 model.step_reaction(1.0)
 
@@ -568,7 +365,7 @@ class TestIonModelSentinel:
 
         model = HodgkinHuxleyModel(8)
         stim = np.full(8, 10.0)
-        with guard_override("strict"):
+        with guard_override("on"):
             for _ in range(200):
                 model.step_reaction(0.01, i_stim=stim)
         assert np.all(np.abs(model.v) < 500.0)
@@ -624,7 +421,7 @@ class TestSchedulerShedding:
         res = ClusterSimulator(4).run(jobs, Fcfs(), fault_injector=fi,
                                       admission=adm)
         # every job is resolved one way or another
-        assert res.completed + res.dropped + res.shed == 4
+        assert res.completed + res.shed == 4
 
     def test_breaker_feeds_from_fault_kills(self):
         from repro.resilience.faults import FaultInjector
@@ -669,7 +466,7 @@ class TestSchedulerShedding:
         jobs = self._jobs(n=10, service=6.0, deadline=50.0)
         res = ClusterSimulator(2).run(jobs, Sjf(), fault_injector=fi,
                                       admission=adm, engine="fast")
-        assert res.completed + res.dropped + res.shed == 10
+        assert res.completed + res.shed == 10
 
 
 class TestMummiGuards:
@@ -734,7 +531,7 @@ class TestBreakerQueryVsAcquire:
     """The peek / try_acquire_probe split (stranded-probe regression).
 
     The old single ``allow()`` served both report-back callers (MuMMI
-    cycles, ``require``) and pure shed queries (``AdmissionController``).
+    cycles) and pure shed queries (``AdmissionController``).
     An open breaker past ``recovery_time`` handed its one half-open
     probe to whoever asked first — including a shed check that never
     reports back, which stranded the breaker half-open with the probe

@@ -1,15 +1,16 @@
-"""Chaos matrix: FaultInjector x sentinel trips x fallback chains.
+"""Chaos matrix: FaultInjector x sentinel trips.
 
 The acceptance contract of the guard layer:
 
-- **bit-exact when no rung fires** — with guards disabled (and with
-  guards strict on a *healthy* problem) every instrumented path
-  produces byte-identical results to the uninstrumented computation;
-- **deterministic rung selection when one does** — replaying a seeded
-  chaos scenario serves the request from the same rung every time;
-- **never an unhandled exception** — a campaign under a fault storm
-  ends every scenario in a recorded fallback rung or a shed decision,
-  not a stack trace.
+- **bit-exact when healthy** — with guards off, and with guards on
+  for a *healthy* problem, every instrumented path produces
+  byte-identical results to the uninstrumented computation;
+- **typed errors, never raw ones** — a sentinel trip reaches the
+  caller as a counted, typed :class:`NumericalHealthError`, never as
+  a raw ZeroDivisionError/ValueError/RuntimeError;
+- **degraded progress under a fault storm** — an open breaker
+  degrades its consumer (admission sheds, a MuMMI campaign serves the
+  cycle from its surrogate), deterministically, instead of collapsing.
 """
 
 import numpy as np
@@ -18,10 +19,7 @@ import pytest
 from repro.guard import (
     AdmissionController,
     CircuitBreaker,
-    FallbackExhaustedError,
     NumericalHealthError,
-    amg_fallback_chain,
-    bdf_fallback_chain,
     guard_override,
 )
 from repro.resilience.faults import FaultInjector
@@ -46,7 +44,7 @@ def decay_lin(gamma, t, u):
 
 
 # ---------------------------------------------------------------------------
-# bit-exactness: guards off == guards strict when nothing trips
+# bit-exactness: guards off == guards on when nothing trips
 # ---------------------------------------------------------------------------
 
 
@@ -58,7 +56,7 @@ class TestBitExactWhenHealthy:
         b = np.sin(np.arange(48))
         with guard_override("off"):
             x_off, info_off = pcg(a, b, tol=1e-10, max_iter=500)
-        with guard_override("strict"):
+        with guard_override("on"):
             x_on, info_on = pcg(a, b, tol=1e-10, max_iter=500)
         assert np.array_equal(x_off, x_on)
         assert info_off.iterations == info_on.iterations
@@ -73,7 +71,7 @@ class TestBitExactWhenHealthy:
         b = rng.normal(size=n)
         with guard_override("off"):
             x_off, _ = gmres(a, b, tol=1e-10)
-        with guard_override("strict"):
+        with guard_override("on"):
             x_on, _ = gmres(a, b, tol=1e-10)
         assert np.array_equal(x_off, x_on)
 
@@ -90,7 +88,7 @@ class TestBitExactWhenHealthy:
 
         with guard_override("off"):
             x_off, _ = solve()
-        with guard_override("strict"):
+        with guard_override("on"):
             x_on, _ = solve()
         assert np.array_equal(x_off, x_on)
 
@@ -104,7 +102,7 @@ class TestBitExactWhenHealthy:
 
         with guard_override("off"):
             t_off, u_off = run()
-        with guard_override("strict"):
+        with guard_override("on"):
             t_on, u_on = run()
         assert np.array_equal(t_off, t_on)
         assert np.array_equal(u_off, u_on)
@@ -125,7 +123,7 @@ class TestBitExactWhenHealthy:
 
         with guard_override("off"):
             x_off, v_off = run()
-        with guard_override("strict"):
+        with guard_override("on"):
             x_on, v_on = run()
         assert np.array_equal(x_off, x_on)
         assert np.array_equal(v_off, v_on)
@@ -142,7 +140,7 @@ class TestBitExactWhenHealthy:
 
         with guard_override("off"):
             s_off = run()
-        with guard_override("strict"):
+        with guard_override("on"):
             s_on = run()
         assert np.array_equal(s_off, s_on)
 
@@ -160,7 +158,7 @@ class TestBitExactWhenHealthy:
 
         with guard_override("off"):
             r_off = run()
-        with guard_override("strict"):
+        with guard_override("on"):
             r_on = run()
         assert r_off == r_on
 
@@ -176,101 +174,14 @@ class TestBitExactWhenHealthy:
 
         with guard_override("off"):
             e_off = run()
-        with guard_override("strict"):
+        with guard_override("on"):
             e_on = run()
         assert e_off == e_on
 
 
 # ---------------------------------------------------------------------------
-# chaos matrix: seeded corruption -> deterministic rung / shed, no crash
+# chaos matrix: seeded corruption -> typed error / shed, no crash
 # ---------------------------------------------------------------------------
-
-
-AMG_SCENARIOS = ["healthy", "sdc_spike", "overflow_b"]
-
-
-class TestAmgChaosMatrix:
-    def _scenario_b(self, scenario, seed):
-        n = 64
-        b = np.sin(0.1 * np.arange(n) + seed)
-        injector = FaultInjector(sdc_per_step=1.0, sdc_magnitude=1e4,
-                                 seed=seed)
-        if scenario == "sdc_spike":
-            # a silent data corruption in the RHS: large but finite,
-            # every rung can still solve it
-            k = int(injector.rng.integers(n))
-            b[k] += injector.sdc_magnitude
-        elif scenario == "overflow_b":
-            # non-physical scale: AMG/PCG sentinels trip their
-            # magnitude bound; only the dense rescue survives
-            b *= 1e150
-        return b
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("scenario", AMG_SCENARIOS)
-    def test_every_scenario_ends_in_a_rung(self, scenario, seed):
-        a = lap1d(64)
-        b = self._scenario_b(scenario, seed)
-        with guard_override("strict"):
-            chain = amg_fallback_chain(a, tol=1e-8, max_iter=200)
-            out = chain.run(b)  # must not raise
-        assert out.rung_name in [r.name for r in chain.rungs]
-        assert chain.served == [out.rung_name]
-        # the served rung really solved the system
-        res = np.linalg.norm(lap1d(64) @ out.value - b)
-        assert res <= 1e-6 * max(1.0, float(np.linalg.norm(b)))
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("scenario", AMG_SCENARIOS)
-    def test_rung_selection_deterministic(self, scenario, seed):
-        a = lap1d(64)
-
-        def go():
-            b = self._scenario_b(scenario, seed)
-            with guard_override("strict"):
-                chain = amg_fallback_chain(a, tol=1e-8, max_iter=200)
-                out = chain.run(b)
-            return out.rung_name, out.value
-
-        r1, x1 = go()
-        r2, x2 = go()
-        assert r1 == r2
-        assert np.array_equal(x1, x2)
-
-    def test_healthy_serves_first_rung_bit_exact(self):
-        a = lap1d(64)
-        b = self._scenario_b("healthy", 0)
-        with guard_override("strict"):
-            chain = amg_fallback_chain(a, tol=1e-8, max_iter=200)
-            out = chain.run(b)
-        assert out.rung == 0  # no degradation on a healthy system
-        # and the chain's rung-0 answer is exactly the plain solver's
-        from repro.solvers.boomeramg import BoomerAMG
-
-        with guard_override("off"):
-            amg = BoomerAMG(smoother="l1-jacobi", pre_sweeps=1,
-                            post_sweeps=1)
-            amg.setup(CsrMatrix(a))
-            x_plain, _ = amg.solve(b, tol=1e-8, max_iter=200)
-        assert np.array_equal(out.value, x_plain)
-
-    def test_overflow_b_escalates_to_dense(self):
-        a = lap1d(64)
-        b = self._scenario_b("overflow_b", 1)
-        with guard_override("strict"):
-            chain = amg_fallback_chain(a, tol=1e-8, max_iter=200)
-            out = chain.run(b)
-        assert out.rung_name == "dense-direct"
-        assert len(out.trips) == 3  # every earlier rung tripped
-
-    def test_nan_b_exhausts_with_typed_error(self):
-        a = lap1d(16)
-        b = np.full(16, np.nan)
-        with guard_override("strict"):
-            chain = amg_fallback_chain(a)
-            with pytest.raises(FallbackExhaustedError) as exc:
-                chain.run(b)
-        assert len(exc.value.errors) == len(chain.rungs)
 
 
 class TestBdfChaosMatrix:
@@ -289,77 +200,47 @@ class TestBdfChaosMatrix:
                 return np.full_like(u, np.nan)
             return -u
 
-        return rhs, k_bad
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_storm_ends_in_a_rung(self, seed):
-        rhs, k_bad = self._storm_rhs(seed)
-        with guard_override("strict"):
-            chain = bdf_fallback_chain(rhs, decay_lin)
-            out = chain.run(0.0, np.array([1.0]), 1.0)
-        # some rung served, and its answer is the healed integration
-        assert out.rung_name in [r.name for r in chain.rungs]
-        assert np.all(np.isfinite(out.value[1]))
-        assert out.value[1][-1] == pytest.approx(np.exp(-1.0), rel=1e-3)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_rung_selection_deterministic(self, seed):
-        def go():
-            rhs, _ = self._storm_rhs(seed)
-            with guard_override("strict"):
-                chain = bdf_fallback_chain(rhs, decay_lin)
-                out = chain.run(0.0, np.array([1.0]), 1.0)
-            return out.rung_name, out.value[1][-1]
-
-        r1, v1 = go()
-        r2, v2 = go()
-        assert r1 == r2
-        assert v1 == v2
+        return rhs
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_storm_served_by_order_drop_in_few_calls(self, seed):
-        """Once the storm has passed, the order-1 rung integrates the
-        healed RHS: its linear predictor keeps the error estimate
-        O(h^2), so it serves in under 2,000 RHS calls.  (A constant
-        predictor made it, and then the step-halving rung, exhaust
-        ``max_steps``: 600,000 calls before ``erk-rescue`` served.)"""
-        rhs, _ = self._storm_rhs(seed)
+        """The storm trips BDF(2) with a typed error; once it has
+        passed, BDF(1) integrates the healed RHS: its linear predictor
+        keeps the error estimate O(h^2), so both attempts together take
+        under 2,000 RHS calls.  (A constant predictor made order 1
+        exhaust ``max_steps``: 600,000 calls.)"""
+        from repro.ode.bdf import BdfIntegrator, BdfOptions
+
+        rhs = self._storm_rhs(seed)
         calls = [0]
 
         def counted(t, u):
             calls[0] += 1
             return rhs(t, u)
 
-        with guard_override("strict"):
-            out = bdf_fallback_chain(counted, decay_lin).run(
-                0.0, np.array([1.0]), 1.0)
-        assert out.rung_name == "bdf-order-drop"
-        assert calls[0] < 2_000
-        assert out.value[1][-1] == pytest.approx(np.exp(-1.0), rel=1e-3)
-
-    def test_healthy_serves_bdf2_bit_exact(self):
-        from repro.ode.bdf import BdfIntegrator
-
-        with guard_override("strict"):
-            chain = bdf_fallback_chain(decay_rhs, decay_lin)
-            out = chain.run(0.0, np.array([1.0]), 1.0)
-        assert out.rung_name == "bdf-2"
-        with guard_override("off"):
-            t_plain, u_plain = BdfIntegrator(
-                decay_rhs, decay_lin
+        with guard_override("on"):
+            with pytest.raises(NumericalHealthError):
+                BdfIntegrator(counted, decay_lin).integrate(
+                    0.0, np.array([1.0]), 1.0
+                )
+            _, us = BdfIntegrator(
+                counted, decay_lin, options=BdfOptions(max_order=1)
             ).integrate(0.0, np.array([1.0]), 1.0)
-        assert np.array_equal(out.value[1], u_plain)
+        assert calls[0] < 2_000
+        assert us[-1, 0] == pytest.approx(np.exp(-1.0), rel=1e-3)
 
     def test_sentinel_trips_are_counted(self):
         from repro.obs import metrics as obs_metrics
+        from repro.ode.bdf import BdfIntegrator
 
         before = obs_metrics.counter("guard.sentinel.trips").value
-        rhs, k_bad = self._storm_rhs(0)
-        with guard_override("strict"):
-            chain = bdf_fallback_chain(rhs, decay_lin)
-            out = chain.run(0.0, np.array([1.0]), 1.0)
-        if out.degraded:
-            assert obs_metrics.counter("guard.sentinel.trips").value > before
+        rhs = self._storm_rhs(0)
+        with guard_override("on"):
+            with pytest.raises(NumericalHealthError):
+                BdfIntegrator(rhs, decay_lin).integrate(
+                    0.0, np.array([1.0]), 1.0
+                )
+        assert obs_metrics.counter("guard.sentinel.trips").value > before
 
 
 class TestMummiFaultStorm:
@@ -381,7 +262,7 @@ class TestMummiFaultStorm:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_storm_campaign_survives(self, seed):
-        with guard_override("strict"):
+        with guard_override("on"):
             camp = self._campaign(seed)
             camp.run(6)  # must not raise
         assert camp.cycles_done == 6
@@ -396,7 +277,7 @@ class TestMummiFaultStorm:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_storm_outcome_deterministic(self, seed):
         def go():
-            with guard_override("strict"):
+            with guard_override("on"):
                 camp = self._campaign(seed)
                 camp.run(6)
             return (camp.rungs_served, camp.jobs_shed, camp.failures,
@@ -405,7 +286,7 @@ class TestMummiFaultStorm:
         assert go() == go()
 
     def test_goodput_accounting_under_shedding(self):
-        with guard_override("strict"):
+        with guard_override("on"):
             camp = self._campaign(0, mtbf=5.0)
             m = camp.run_cycle()
         assert 0.0 <= m["goodput"] <= 1.0
@@ -416,7 +297,7 @@ class TestMummiFaultStorm:
     def test_calm_campaign_all_full_fidelity(self):
         from repro.workflow.mummi import MummiCampaign
 
-        with guard_override("strict"):
+        with guard_override("on"):
             camp = MummiCampaign(
                 n_gpus=8, jobs_per_cycle=4, seed=3,
                 cycle_budget=1e12,
@@ -432,24 +313,28 @@ class TestMummiFaultStorm:
 
 class TestNeverUnhandled:
     """The full matrix in one sweep: for every (subsystem, seed) the
-    strict-mode guard layer resolves the scenario via a typed guard
-    outcome — a served rung, a shed decision, or a typed exhaustion —
-    and never leaks a raw ZeroDivisionError/ValueError/RuntimeError."""
+    armed guard layer resolves the scenario as a result, a shed
+    decision, or a typed :class:`NumericalHealthError`, and never
+    leaks a raw ZeroDivisionError/ValueError/RuntimeError."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matrix(self, seed):
+        from repro.ode.bdf import BdfIntegrator
+        from repro.solvers.boomeramg import BoomerAMG
+
         outcomes = []
-        with guard_override("strict"):
+        with guard_override("on"):
             # AMG with a seeded SDC spike
-            a = lap1d(32)
             b = np.ones(32)
             inj = FaultInjector(sdc_per_step=1.0, sdc_magnitude=1e4,
                                 seed=seed)
             b[int(inj.rng.integers(32))] += inj.sdc_magnitude
             try:
-                out = amg_fallback_chain(a, max_iter=100).run(b)
-                outcomes.append(("amg", out.rung_name))
-            except (FallbackExhaustedError, NumericalHealthError) as e:
+                amg = BoomerAMG()
+                amg.setup(CsrMatrix(lap1d(32)))
+                _, info = amg.solve(b, max_iter=100)
+                outcomes.append(("amg", info.converged))
+            except NumericalHealthError as e:
                 outcomes.append(("amg", type(e).__name__))
             # BDF with a transient NaN storm
             calls = {"n": 0}
@@ -462,11 +347,11 @@ class TestNeverUnhandled:
                 return -u
 
             try:
-                out = bdf_fallback_chain(rhs, decay_lin).run(
+                _, u = BdfIntegrator(rhs, decay_lin).integrate(
                     0.0, np.array([1.0]), 1.0
                 )
-                outcomes.append(("bdf", out.rung_name))
-            except (FallbackExhaustedError, NumericalHealthError) as e:
+                outcomes.append(("bdf", float(u[-1, 0])))
+            except NumericalHealthError as e:
                 outcomes.append(("bdf", type(e).__name__))
             # the scheduler under storm + shedding
             from repro.sched.policies import Fcfs
@@ -480,6 +365,6 @@ class TestNeverUnhandled:
                 jobs, Fcfs(), fault_injector=fi,
                 admission=AdmissionController(),
             )
-            assert res.completed + res.dropped + res.shed == 10
+            assert res.completed + res.shed == 10
             outcomes.append(("sched", res.shed))
         assert len(outcomes) == 3

@@ -194,6 +194,25 @@ class TestBdfIntegrator:
         with pytest.raises(ValueError):
             BdfOptions(max_order=5)
 
+    def test_order_one_in_few_rhs_calls(self):
+        """BDF(1) integrates u' = -u over [0, 1] in under 2,000 RHS
+        calls: its linear predictor keeps the local error estimate
+        O(h^2).  (A constant predictor made order 1 exhaust
+        ``max_steps``: 600,000 calls.)"""
+        calls = [0]
+
+        def rhs(t, u):
+            calls[0] += 1
+            return -u
+
+        def make_ls(gamma, t, u):
+            return lambda r: r / (1.0 + gamma)
+
+        integ = BdfIntegrator(rhs, make_ls, options=BdfOptions(max_order=1))
+        _, us = integ.integrate(0.0, np.array([1.0]), 1.0)
+        assert us[-1, 0] == pytest.approx(np.exp(-1.0), rel=1e-3)
+        assert calls[0] < 2_000
+
     def test_max_steps_enforced(self):
         rhs, make_ls = _decay_problem(lam=1.0)
         integ = BdfIntegrator(rhs, make_ls,

@@ -10,11 +10,9 @@ concurrency bugfixes in the trace sink (locked atomic appends,
 monotonic span timestamps).
 """
 
-import ast
 import json
 import os
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -475,37 +473,3 @@ class TestTraceSinkFixes:
         outer, inner = by_name["outer"], by_name["inner"]
         assert outer["ts"] <= inner["ts"]
         assert inner["ts"] + inner["dur"] <= outer["ts"] + outer["dur"]
-
-
-# -- layering -------------------------------------------------------------
-
-
-def _repro_imports(path):
-    """``(line, module)`` for every ``repro`` import in *path*,
-    function-level imports included."""
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = ([f"repro.{alias.name}" for alias in node.names]
-                     if node.module == "repro" else [node.module])
-        else:
-            continue
-        for name in names:
-            if name == "repro" or name.startswith("repro."):
-                yield node.lineno, name
-
-
-def test_par_imports_only_par_and_obs():
-    """``repro.par`` sits below the service layers: any of them may fan
-    out, so it imports nothing of theirs."""
-    files = sorted((Path(__file__).resolve().parent.parent / "src" / "repro"
-                    / "par").glob("*.py"))
-    assert len(files) >= 5
-    outside = [
-        f"{path.name}:{line}: {name}"
-        for path in files
-        for line, name in _repro_imports(path)
-        if name.split(".")[:2] not in (["repro", "par"], ["repro", "obs"])
-    ]
-    assert outside == []

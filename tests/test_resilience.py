@@ -1,9 +1,6 @@
-"""Tests for the resilience layer: fault model, injector, retry
-policies, scheduler-level recovery, and checkpoint/restart with ABFT
-across the PCG/AMG solvers, ddcMD, and the MuMMI campaign."""
-
-import pickle
-import warnings
+"""Tests for the resilience layer: fault model, injector,
+scheduler-level recovery, and checkpoint/restart with ABFT across the
+PCG/AMG solvers, ddcMD, and the MuMMI campaign."""
 
 import numpy as np
 import pytest
@@ -13,17 +10,14 @@ from repro.core.machine import FaultSpec, YEAR_SECONDS, get_machine
 from repro.md.ddcmd import DdcMD, make_martini_membrane
 from repro.md.integrators import LangevinThermostat
 from repro.resilience import (
-    CappedRetry,
     CheckpointStore,
-    ExponentialBackoff,
     FaultInjector,
-    ImmediateRetry,
     ResilientDriver,
     fault_spec_for,
     state_nbytes,
 )
 from repro.sched.policies import Fcfs
-from repro.sched.simulator import ClusterSimulator, SimulatorSession
+from repro.sched.simulator import ClusterSimulator
 from repro.sched.workloads import batch_workload
 from repro.solvers.boomeramg import BoomerAMG
 from repro.solvers.csr import CsrMatrix
@@ -117,42 +111,13 @@ class TestFaultInjector:
             FaultInjector().pick_victim(0)
 
 
-class TestRetryPolicies:
-    def test_immediate(self):
-        p = ImmediateRetry()
-        assert p.requeue_delay(1) == 0.0
-        assert p.requeue_delay(1000) == 0.0
-
-    def test_capped(self):
-        p = CappedRetry(max_retries=2, delay=5.0)
-        assert p.requeue_delay(1) == 5.0
-        assert p.requeue_delay(2) == 5.0
-        assert p.requeue_delay(3) is None
-
-    def test_backoff(self):
-        p = ExponentialBackoff(base=1.0, factor=2.0, max_delay=6.0,
-                               max_retries=4)
-        assert [p.requeue_delay(k) for k in (1, 2, 3, 4)] == [
-            1.0, 2.0, 4.0, 6.0]
-        assert p.requeue_delay(5) is None
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CappedRetry(max_retries=-1)
-        with pytest.raises(ValueError):
-            ExponentialBackoff(factor=0.5)
-        with pytest.raises(ValueError):
-            ImmediateRetry().requeue_delay(0)
-
-
 class TestSchedulerRecovery:
     def test_faults_kill_and_retry(self):
         jobs = batch_workload(n_jobs=100, seed=0)
         inj = FaultInjector(mtbf=100.0, seed=1)
-        r = ClusterSimulator(8).run(jobs, Fcfs(), fault_injector=inj,
-                                    retry_policy=ImmediateRetry())
+        r = ClusterSimulator(8).run(jobs, Fcfs(), fault_injector=inj)
         assert r.failures > 0
-        assert r.retries == r.failures  # immediate retry never drops
+        assert r.retries == r.failures  # every killed job is re-queued
         assert r.dropped == 0
         assert r.completed == 100
         assert r.wasted_time > 0
@@ -166,35 +131,12 @@ class TestSchedulerRecovery:
         assert r.goodput == pytest.approx(r.utilization)
         assert r.started == 100 and r.in_flight == 0
 
-    def test_zero_retry_cap_drops_jobs(self):
-        jobs = batch_workload(n_jobs=100, seed=0)
-        inj = FaultInjector(mtbf=50.0, seed=1)
-        r = ClusterSimulator(8).run(jobs, Fcfs(), fault_injector=inj,
-                                    retry_policy=CappedRetry(max_retries=0))
-        assert r.failures > 0
-        assert r.dropped == r.failures
-        assert r.completed + r.dropped == 100
-
-    def test_backoff_delays_requeue(self):
-        """With a long backoff the killed job re-arrives later, so the
-        makespan stretches past the immediate-retry one."""
-        jobs = batch_workload(n_jobs=50, seed=2)
-        fast = ClusterSimulator(4).run(
-            jobs, Fcfs(), fault_injector=FaultInjector(mtbf=80.0, seed=3),
-            retry_policy=ImmediateRetry())
-        slow = ClusterSimulator(4).run(
-            jobs, Fcfs(), fault_injector=FaultInjector(mtbf=80.0, seed=3),
-            retry_policy=ExponentialBackoff(base=200.0, factor=2.0))
-        assert fast.failures > 0
-        assert slow.makespan > fast.makespan
-
     def test_goodput_degrades_as_mtbf_shrinks(self):
         jobs = batch_workload(n_jobs=400, seed=0)
         goodputs = []
         for mtbf in (1e9, 200.0, 50.0):
             inj = FaultInjector(mtbf=mtbf, seed=0)
-            r = ClusterSimulator(8).run(jobs, Fcfs(), fault_injector=inj,
-                                        retry_policy=ImmediateRetry())
+            r = ClusterSimulator(8).run(jobs, Fcfs(), fault_injector=inj)
             goodputs.append(r.goodput)
         assert goodputs[0] > goodputs[1] > goodputs[2]
 
@@ -202,8 +144,7 @@ class TestSchedulerRecovery:
         jobs = batch_workload(n_jobs=100, seed=0)
         runs = [
             ClusterSimulator(8).run(
-                jobs, Fcfs(), fault_injector=FaultInjector(mtbf=60.0, seed=7),
-                retry_policy=ImmediateRetry())
+                jobs, Fcfs(), fault_injector=FaultInjector(mtbf=60.0, seed=7))
             for _ in range(2)
         ]
         assert runs[0].failures == runs[1].failures
@@ -342,91 +283,6 @@ class TestDdcmdRecovery:
         assert np.array_equal(ref.system.x, sim.system.x)
 
 
-class TestJitteredRetryRewind:
-    """A jittered ExponentialBackoff draws from its own Generator on
-    every re-queue, so that Generator is event-loop state: checkpoints
-    must save it and validate mode must rewind it."""
-
-    JOBS = batch_workload(n_jobs=120, seed=3)
-
-    @staticmethod
-    def _policy(seed=7):
-        return ExponentialBackoff(base=1, jitter=0.5,
-                                  rng=np.random.default_rng(seed))
-
-    def _session(self, seed=5, retry_seed=7):
-        return SimulatorSession(
-            4, self.JOBS, Fcfs(),
-            fault_injector=FaultInjector(mtbf=40, seed=seed),
-            retry_policy=self._policy(retry_seed),
-        )
-
-    @pytest.mark.parametrize("cut,retries_before", [(60, 2), (100, 6)])
-    def test_session_checkpoint_restores_jitter(self, cut, retries_before):
-        ref = self._session().run_to_completion()
-        session = self._session()
-        session.advance(cut)
-        assert session.retries == retries_before
-        blob = pickle.dumps(session.checkpoint_state())
-        resumed = self._session(seed=99, retry_seed=99)
-        resumed.restore_state(pickle.loads(blob))
-        assert resumed.run_to_completion() == ref
-
-    def _run(self, rng):
-        policy = ExponentialBackoff(base=1, jitter=0.5, rng=rng)
-        return ClusterSimulator(4).run(
-            self.JOBS, Fcfs(),
-            fault_injector=FaultInjector(mtbf=40, seed=5),
-            retry_policy=policy,
-        )
-
-    def test_strict_validate_mode_rewinds_jitter(self, monkeypatch):
-        plain = self._run(np.random.default_rng(7))
-        monkeypatch.setenv("REPRO_OBS_VALIDATE", "1")
-        assert self._run(np.random.default_rng(7)) == plain
-
-    def test_record_mode_advances_caller_rng_once(self, monkeypatch):
-        rng = np.random.default_rng(7)
-        self._run(rng)
-        expected = rng.uniform(-1, 1)
-        monkeypatch.setenv("REPRO_OBS_VALIDATE", "record")
-        rng = np.random.default_rng(7)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no divergence warning
-            self._run(rng)
-        assert rng.uniform(-1, 1) == expected
-
-    def test_campaign_checkpoint_restores_jitter(self):
-        def campaign():
-            return MummiCampaign(
-                n_gpus=8, jobs_per_cycle=16, seed=0,
-                fault_injector=FaultInjector(mtbf=20.0, seed=3),
-                retry_policy=self._policy(),
-            )
-
-        ref = campaign()
-        ref.run(4)
-        camp = campaign()
-        camp.run(2)
-        ck = camp.checkpoint_state()
-        camp.run(2)  # work a crash will destroy, jitter draws included
-        camp.restore_state(ck)
-        camp.run(2)
-        assert camp.job_retries == ref.job_retries > 0
-        assert camp.wall_time == ref.wall_time
-        assert camp.wasted_gpu_hours == ref.wasted_gpu_hours
-
-    def test_stateless_policies_add_no_checkpoint_entry(self):
-        assert ExponentialBackoff().checkpoint_state() is None
-        assert "retry" in MummiCampaign(
-            n_gpus=8, jobs_per_cycle=8, seed=0, retry_policy=self._policy()
-        ).checkpoint_state()
-        for policy in (None, ImmediateRetry(), ExponentialBackoff()):
-            camp = MummiCampaign(n_gpus=8, jobs_per_cycle=8, seed=0,
-                                 retry_policy=policy)
-            assert "retry" not in camp.checkpoint_state()
-
-
 class TestCampaignRecovery:
     def test_crash_restart_bit_exact(self):
         ref = MummiCampaign(n_gpus=8, jobs_per_cycle=8, seed=0)
@@ -458,7 +314,6 @@ class TestCampaignRecovery:
         camp = MummiCampaign(
             n_gpus=8, jobs_per_cycle=16, seed=0,
             fault_injector=FaultInjector(mtbf=20.0, seed=3),
-            retry_policy=ImmediateRetry(),
         )
         camp.run(3)
         assert camp.failures > 0

@@ -295,19 +295,19 @@ class TestFastEngine:
 
     @pytest.mark.parametrize("name,make", POLICIES)
     def test_fault_retry_equivalence(self, name, make):
-        from repro.resilience import CappedRetry, FaultInjector
+        from repro.resilience import FaultInjector
 
         jobs = batch_workload(n_jobs=120, seed=6)
         sim = ClusterSimulator(8)
+        # killed jobs re-queue without a cap, and the longest job
+        # (~120) far outlasts the MTBF: the horizon ends the run
         fast = sim.run(
-            jobs, make(), engine="fast",
+            jobs, make(), engine="fast", horizon=200.0,
             fault_injector=FaultInjector(mtbf=4.0, seed=9),
-            retry_policy=CappedRetry(max_retries=2),
         )
         ref = sim.run(
-            jobs, make(), engine="reference",
+            jobs, make(), engine="reference", horizon=200.0,
             fault_injector=FaultInjector(mtbf=4.0, seed=9),
-            retry_policy=CappedRetry(max_retries=2),
         )
         assert fast.failures > 0  # the fault path actually exercised
         self._identical(fast, ref)
@@ -373,7 +373,7 @@ class TestTieBreakEquivalence:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_quota_ties_with_faults_identical(self, seed):
-        from repro.resilience import CappedRetry, FaultInjector
+        from repro.resilience import FaultInjector
 
         jobs = self._tied_jobs()
         sim = ClusterSimulator(8)
@@ -381,8 +381,8 @@ class TestTieBreakEquivalence:
         for engine in ("fast", "reference"):
             runs.append(sim.run(
                 jobs, SjfWithQuota(8, 0.25), engine=engine,
+                horizon=200.0,
                 fault_injector=FaultInjector(mtbf=6.0, seed=seed),
-                retry_policy=CappedRetry(max_retries=2),
             ))
         self._identical(*runs)
 
@@ -391,7 +391,7 @@ class TestTieBreakEquivalence:
         (the replayed reference is compared, then discarded) — and the
         fault-injector RNG must end in the same state."""
         from repro.obs.validate import VALIDATE_ENV
-        from repro.resilience import CappedRetry, FaultInjector
+        from repro.resilience import FaultInjector
 
         jobs = self._tied_jobs()
 
@@ -400,8 +400,7 @@ class TestTieBreakEquivalence:
             inj = FaultInjector(mtbf=6.0, seed=3)
             res = ClusterSimulator(8).run(
                 jobs, SjfWithQuota(8, 0.25), engine="fast",
-                fault_injector=inj,
-                retry_policy=CappedRetry(max_retries=2),
+                horizon=200.0, fault_injector=inj,
             )
             return res, inj.checkpoint_state()
 

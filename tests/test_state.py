@@ -36,7 +36,7 @@ from repro.durable import DurableStore, ResumableCampaign
 from repro.guard.deadline import AdmissionController, CircuitBreaker
 from repro.md.ddcmd import DdcMD, make_martini_membrane
 from repro.md.integrators import LangevinThermostat
-from repro.resilience import ExponentialBackoff, FaultInjector
+from repro.resilience import FaultInjector
 from repro.sched import Fcfs, SimulatorSession, SjfWithQuota
 from repro.sched.workloads import poisson_workload
 from repro.solvers.boomeramg import BoomerAMG
@@ -63,10 +63,9 @@ def _jobs():
 
 
 def _session(policy="fcfs", engine="fast", admission="breaker", seed=2):
-    """A scheduler session with chaos, a jittered backoff and
-    *admission*: ``"breaker"`` (one controller + breaker), or an
-    arbiter-on / arbiter-off tenant registry on a noisy-neighbour
-    pile-up."""
+    """A scheduler session with chaos and *admission*: ``"breaker"``
+    (one controller + breaker), or an arbiter-on / arbiter-off tenant
+    registry on a noisy-neighbour pile-up."""
     if admission == "breaker":
         jobs, n_gpus = _jobs(), 8
         adm = AdmissionController(
@@ -83,10 +82,6 @@ def _session(policy="fcfs", engine="fast", admission="breaker", seed=2):
     return SimulatorSession(
         n_gpus, jobs, Fcfs() if policy == "fcfs" else SjfWithQuota(n_gpus),
         fault_injector=FaultInjector(mtbf=40.0, seed=seed),
-        retry_policy=ExponentialBackoff(
-            base=1.0, jitter=0.5, max_retries=3,
-            rng=np.random.default_rng(seed),
-        ),
         engine=engine, admission=adm,
     )
 
@@ -94,7 +89,7 @@ def _session(policy="fcfs", engine="fast", admission="breaker", seed=2):
 def _mummi(extras=False, seed=11):
     """The repo benchmark's mummi_durable campaign config (faults,
     retries, deadline sheds, breaker-driven surrogate cycles); with
-    *extras*, also a jittered retry policy and a brownout ladder."""
+    *extras*, also a brownout ladder."""
     return MummiCampaign(
         n_gpus=8, jobs_per_cycle=24, seed=seed, backend="serial",
         fault_injector=FaultInjector(mtbf=300.0, seed=seed),
@@ -102,11 +97,6 @@ def _mummi(extras=False, seed=11):
         breaker=CircuitBreaker(failure_threshold=2, recovery_time=3.0,
                                name="mummi"),
         admission=AdmissionController(),
-        retry_policy=(
-            ExponentialBackoff(base=1.0, jitter=0.5,
-                               rng=np.random.default_rng(seed))
-            if extras else None
-        ),
         ladder=BrownoutLadder() if extras else None,
     )
 
@@ -201,8 +191,6 @@ SCENARIOS = {
     "CircuitBreaker": lambda: _mid_session().admission.breaker,
     "AdmissionController": lambda: _mid_session().admission,
     "FaultInjector": lambda: _mid_session().fault_injector,
-    "ExponentialBackoff-jitter": lambda: _mid_session().retry_policy,
-    "ExponentialBackoff-plain": lambda: ExponentialBackoff(base=2.0),
     "_ReferenceQueue": lambda: _mid_session(engine="reference").queue,
     "KeyedFastQueue": lambda: _mid_session().queue,
     "QuotaFastQueue": lambda: _mid_session(policy="sjfq").queue,
@@ -229,7 +217,7 @@ SCENARIOS = {
 #: from the hand-written checkpoint methods the schema replaced
 LAYOUT_PINS = {
     "AdmissionController":
-        "95bd51892d38c145ee4e3116dfc4656933b1906343983068f7b4873542cabc46",
+        "6b4566d5f9d0993de41cb73abcd7de2a499d5910c8faa200901ea6923563eb05",
     "AmgSolve":
         "db86dd00564d6e9331eb258237194e978dbf8e1998a506966eb9f343a8074cc0",
     "BrownoutLadder":
@@ -238,38 +226,34 @@ LAYOUT_PINS = {
         "292e0f3b2dc846710e9edd94264988047dfe440ca94576f20bf91137ab979194",
     "DdcMD":
         "17ab6b210dadb0c7678b19ce6e7af4cdca33d88dac147c6bb95d568cc3052a54",
-    "ExponentialBackoff-jitter":
-        "79d1cda2ee405833dea9c9bf1810941e859838a10e6e749b68274d20d659a690",
-    "ExponentialBackoff-plain":
-        "99bf08d8dc95c6aeb2d65ed7025a39215e31b4c92fccc2b5ed130b640db2cd7d",
     "FaultInjector":
         "6df6c39f11e8ae95e7b75c074b68ca4a1fa94e7a25c9e28383d2dce22e528545",
     "FlightRecorder":
-        "40d39076dfb78e5e294b65505a4b259129fadf9e64fe24ad461fbe2a3d43748f",
+        "86b44ffb6e11e5d70bce7b111191e38701d3548094f23346f94cd535bbd818a7",
     "KeyedFastQueue":
         "58536b62f626b678185b0d0fcdadbc0ddbdf75c801d254f47e1062f1aa49f0b0",
     "MummiCampaign":
         "6a7b0d7c123526a33919b26ddc733d4f2b4aaec7d386fd97d56d3c008677daf1",
     "MummiCampaign-extras":
-        "6a2c48067662c5232b3d04a014cb21da81870cc61b1188f7cd8346c417504e7f",
+        "017cca5c042364b6f8ef499f5e479434f36e7b3091e5c993114bf1b2a4aee96a",
     "PcgSolver":
         "e62246eeac694b0706d3e7994a2c3e8d29303638cda3e53abf63446e399edf3b",
     "QuotaFastQueue":
-        "ee5cb60da0458648d67f6e8e808d15650d3da6a73fb134b5a0733a1170d74686",
+        "d3e467786388bf1c83619d35d118bd089786946aa41198fa81896cadd3e5f86a",
     "SimulatorSession-fcfs-fast":
-        "8d926f87475f0066c8b3cd1f36c8f472772c3e88482787e71df5095a30023d17",
+        "7c2dc86eaf3f1afd8c3a8b0a684a6155cd41e15ede90d5b50984a6f8ef5a658b",
     "SimulatorSession-fcfs-reference":
-        "edf9851a03bb524624f77e58121357ee76b1dc4016a4ddb34cd4968093209dbe",
+        "1febaf50c238ec6ec2cda1281cfd51a8e42c5e621febdf847feca1d600cbf5a7",
     "SimulatorSession-sjfq-fast":
-        "be5edd7bb782ee3b6298d0dfcf98f9bb436b820323360293b1ee2e8cf2a29a70",
+        "382cf53d51f4ff0423646508cd90cba9d557b88aaed6053918cb760de1e397f6",
     "SimulatorSession-tenancy":
-        "7c6a120371cd823c70b65f1a6f7b2984ad9b39cee7ac96a36cadfcea3677dea5",
+        "c9cdf3ef779601eae90081831a24017989ee149a06085c9b3ba2254ff685b704",
     "SimulatorSession-tenancy-off":
-        "833d1da3571543a5cc900c3f6aaedaaa1977b2f050f5a84da028516cfe3c6a73",
+        "fc379a4130628d46d3ac847ae9c016a4b5c9557449d7eceef59e0334a7f20486",
     "TenantRegistry":
-        "3f3c0537d91ad717938bddd8425e76e9d2b4b196ac532775b0ae216fb0787136",
+        "d5f9856a9a6f36c75eeb484619b4bd2420436b76f3e71430781ccfbaa7015cfe",
     "TenantRegistry-off":
-        "c7faeeb2f738f9c30d57e490f00ccffcd735938c2eafef280c228dbefcd297c9",
+        "cb6f17494407b7c55c06bdbd4728b2a4263946ca8b7433668c7a464ad3be1311",
     "_ReferenceQueue":
         "af35d109ba4107e51cb35155fb3306a3fdef1e622acc38d376ffe283d64dbd9f",
 }
@@ -303,7 +287,7 @@ LONG_RUNS = {
         "8d53a683392861f12cc6620cde2f3b160cae869daf6b12937e38afcc5498ae73"),
     "MummiCampaign-extras-40": (
         lambda root: _advance(_mummi(extras=True), 40),
-        "7c26bce9cb75aec2577500152f8cb10e2589b03f5150c6228e4759f6a4832ee8"),
+        "8630bd2edbbea786b3215a8b7ab2a58842a7c4d9d2e83fb01ba13f549f2ff714"),
 }
 
 
