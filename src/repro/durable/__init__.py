@@ -7,12 +7,13 @@ in-memory only, so a SIGKILL mid-campaign lost all scheduler, tenant,
 and RNG state.  This package makes the kill survivable:
 
 - :class:`~repro.durable.wal.WriteAheadLog` — CRC32-framed append-only
-  journal: fsync-on-commit, torn-tail truncation on open, atomic
-  rename rotation.
+  journal: fsync-on-commit, torn-tail truncation on open, rotation by
+  truncation to the header.
 - :class:`~repro.durable.store.DurableStore` — an on-disk snapshot
   plus an incremental journal, with no in-memory copy of the state;
-  recovery is load-snapshot-then-replay-journal, idempotent under
-  duplicates.
+  each record names the step it extends and may carry only the new
+  tails of append-only fields; recovery is
+  load-snapshot-then-replay-journal, idempotent under duplicates.
 - :class:`~repro.durable.campaign.ResumableCampaign` — drives any
   checkpointable stepper so the process can be SIGKILLed at any
   instant and a restart resumes bit-exactly (same final metrics and
@@ -30,9 +31,10 @@ from repro.durable.campaign import (
     DEFAULT_COUNTER_PREFIXES,
     ResumableCampaign,
 )
-from repro.durable.chaos import ChaosReport, run_chaos, state_mismatches
+from repro.durable.chaos import ChaosReport, run_chaos
 from repro.durable.store import DurableStore
 from repro.durable.wal import WriteAheadLog, read_records
+from repro.util.state import state_mismatches
 
 __all__ = [
     "ChaosReport",

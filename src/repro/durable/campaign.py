@@ -12,7 +12,7 @@ bit-exactly.
 The commit protocol per step::
 
     step()                       # mutate live state
-    journal(progress, payload)   # fsync-on-commit — THE commit point
+    journal(progress, record)    # fsync-on-commit — THE commit point
     [snapshot every `cadence`]   # compaction, atomic
 
 A kill before the journal append loses only the uncommitted step;
@@ -23,11 +23,22 @@ bit-identical to the one the kill destroyed.  A kill mid-append is a
 torn tail the WAL truncates.  A kill between snapshot and rotation
 leaves stale journal records that replay as no-ops.
 
-Each committed payload carries the stepper's full
-``checkpoint_state()`` plus the observability counters under
+Each snapshot carries the stepper's full ``checkpoint_state()``, and
+each journal record its ``checkpoint_tails()``: the same state, but
+with every append-only field cut to the items added since the last
+record or snapshot, so a record costs what its step added, not what
+the run holds.  The driver keeps those fields' lengths and resets
+them at every snapshot and recovery; the store resolves the tails on
+recovery.  A stepper without ``checkpoint_tails`` journals full
+states.  Both carry the observability counters under
 ``counter_prefixes`` (campaign/scheduler/guard accounting), so a
 resumed process reports the same final metrics an uninterrupted run
 would — counters rewind to the boundary together with the state.
+
+Under ``REPRO_OBS_VALIDATE``, each tails record is also resolved
+against the previous full state and checked against a full
+``checkpoint_state()`` (domain ``durable.tails``), which catches a
+field wrongly declared append-only.
 """
 
 from __future__ import annotations
@@ -36,7 +47,9 @@ import time
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.obs import metrics as _metrics
+from repro.obs import validate as _validate
 from repro.durable.store import DurableStore
+from repro.util.state import resolve_tails, saved_lengths, state_mismatches
 
 #: counter namespaces that ride along with every committed payload
 DEFAULT_COUNTER_PREFIXES = ("workflow.", "sched.", "guard.")
@@ -91,6 +104,11 @@ class ResumableCampaign:
         self.steps_committed = 0
         self.recovered_step: Optional[int] = None
         self._last_journaled = -1
+        #: saved list lengths at the newest snapshot, record or recovery:
+        #: where the next record's tails start
+        self._lengths: Dict[str, int] = {}
+        #: validate mode: the full state the next record extends
+        self._base: Any = None
 
     # -- recovery -------------------------------------------------------
 
@@ -110,15 +128,49 @@ class ResumableCampaign:
                           self.counter_prefixes)
         self.recovered_step = step
         self._last_journaled = step
+        self._lengths = saved_lengths(payload["state"])
+        self._base = None
         return step
 
     # -- the drive loop -------------------------------------------------
 
-    def _payload(self) -> Dict[str, Any]:
-        return {
-            "state": self.stepper.checkpoint_state(),
-            "counters": _capture_counters(self.counter_prefixes),
-        }
+    def _snapshot(self, step: int, counters: Dict[str, Any]) -> None:
+        state = self.stepper.checkpoint_state()
+        self.store.save_snapshot(step, {"state": state,
+                                        "counters": counters})
+        self._lengths = saved_lengths(state)
+        # only validate mode reads it; holding a full state otherwise
+        # keeps the snapshot's copies alive until the next record
+        self._base = state if _validate.validation_enabled() else None
+
+    def _journal(self, step: int, counters: Dict[str, Any]) -> None:
+        tails = getattr(self.stepper, "checkpoint_tails", None)
+        if tails is None:
+            state = self.stepper.checkpoint_state()
+        else:
+            state = tails(self._lengths)
+            if _validate.validation_enabled():
+                self._check_tails(state)
+            else:
+                self._base = None
+        self.store.journal(step, {"state": state, "counters": counters})
+        self._lengths = saved_lengths(state)
+        self._last_journaled = step
+        self.steps_committed += 1
+
+    def _check_tails(self, state: Dict[str, Any]) -> None:
+        """Resolve a tails record against the previous full state and
+        check it against a full checkpoint of the same step."""
+        full = self.stepper.checkpoint_state()
+        if self._base is not None:
+            mismatches = state_mismatches(
+                resolve_tails(self._base, state), full)
+            _validate.check(
+                "durable.tails", not mismatches,
+                f"resolved tails differ from checkpoint_state() at "
+                f"{mismatches[:3]}",
+            )
+        self._base = full
 
     def run(self, n_steps: Optional[int] = None,
             pace: float = 0.0) -> int:
@@ -134,9 +186,10 @@ class ResumableCampaign:
             raise ValueError(
                 "stepper has no natural termination; pass n_steps"
             )
+        prefixes = self.counter_prefixes
         # a snapshot at entry makes recovery possible from step one,
         # and on resume compacts the replayed journal
-        self.store.save_snapshot(stepper.progress, self._payload())
+        self._snapshot(stepper.progress, _capture_counters(prefixes))
         self._last_journaled = stepper.progress
         while True:
             if has_done and stepper.done:
@@ -145,23 +198,19 @@ class ResumableCampaign:
                 break
             stepper.step()
             progress = stepper.progress
-            payload = None
-            if progress % self.journal_every == 0:
-                payload = self._payload()
-                self.store.journal(progress, payload)
-                self._last_journaled = progress
-                self.steps_committed += 1
-            if progress % self.cadence == 0 and progress > self.store.step:
-                self.store.save_snapshot(
-                    progress, payload if payload is not None
-                    else self._payload(),
-                )
+            journal = progress % self.journal_every == 0
+            snapshot = (progress % self.cadence == 0
+                        and progress > self.store.step)
+            if journal or snapshot:
+                counters = _capture_counters(prefixes)
+                if journal:
+                    self._journal(progress, counters)
+                if snapshot:
+                    self._snapshot(progress, counters)
             if pace:
                 time.sleep(pace)
         # commit the final state even off the journal_every grid, so
         # recovery lands on the true end of the run
         if stepper.progress > self._last_journaled:
-            self.store.journal(stepper.progress, self._payload())
-            self._last_journaled = stepper.progress
-            self.steps_committed += 1
+            self._journal(stepper.progress, _capture_counters(prefixes))
         return stepper.progress

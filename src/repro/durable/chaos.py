@@ -33,33 +33,7 @@ import numpy as np
 
 from repro.durable.campaign import ResumableCampaign
 from repro.durable.store import DurableStore
-
-
-def state_mismatches(a: Any, b: Any, path: str = "state") -> List[str]:
-    """Paths at which two nested state payloads differ (bit-level)."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
-                and a.dtype == b.dtype and np.array_equal(a, b)):
-            return [path]
-        return []
-    if isinstance(a, dict) and isinstance(b, dict):
-        out: List[str] = []
-        for k in sorted(set(a) | set(b), key=str):
-            if k not in a or k not in b:
-                out.append(f"{path}.{k}")
-            else:
-                out.extend(state_mismatches(a[k], b[k], f"{path}.{k}"))
-        return out
-    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
-        if len(a) != len(b):
-            return [f"{path}(len {len(a)} vs {len(b)})"]
-        out = []
-        for i, (x, y) in enumerate(zip(a, b)):
-            out.extend(state_mismatches(x, y, f"{path}[{i}]"))
-        return out
-    if a != b:
-        return [path]
-    return []
+from repro.util.state import state_mismatches
 
 
 @dataclass

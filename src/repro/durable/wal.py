@@ -24,11 +24,14 @@ Durability contract:
   tail.  Opening the log scans it, keeps the longest valid prefix,
   and truncates the torn bytes; the lost record was never committed,
   so dropping it is correct.
-- **atomic rename rotation** — :meth:`rotate` atomically replaces the
-  journal with a fresh empty one (``os.replace`` of a synced temp
-  file), used after a snapshot makes the old records obsolete.  A
-  crash before the rename keeps the old journal; a crash after keeps
-  the new one; no in-between state exists.
+- **rotation by truncation** — :meth:`rotate` empties the journal in
+  place, truncating it to its magic header (and fsyncing it when
+  ``sync=True``); it runs after a snapshot makes the old records
+  obsolete.  Every crash state is safe.  Before the truncate, the old
+  records carry steps at or below the snapshot's, so recovery skips
+  them.  After it, the journal is empty.  A size the disk recorded
+  only in part (power loss without the fsync) ends mid-frame, and
+  the open scan cuts that frame like any torn tail.
 
 Payloads are opaque bytes; callers (``DurableStore``) bring their own
 serialization.  Everything after a bad frame is discarded — with
@@ -131,13 +134,13 @@ class WriteAheadLog:
     def _open_and_recover(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if not self.path.exists():
-            self._write_fresh(self.path)
+            self._write_fresh()
         end, count, total = self._scan(self.path)
         self.truncated_bytes = total - end
         if end == 0:
             # no magic header (say, a crash between create and header
             # write): nothing is committed, so start the file over
-            self._write_fresh(self.path)
+            self._write_fresh()
         elif end < total:
             with open(self.path, "r+b") as fh:
                 fh.truncate(end)
@@ -147,14 +150,14 @@ class WriteAheadLog:
         self.records_on_open = count
         self._fh = open(self.path, "ab")
 
-    def _write_fresh(self, path: Path) -> None:
-        with open(path, "wb") as fh:
+    def _write_fresh(self) -> None:
+        with open(self.path, "wb") as fh:
             fh.write(MAGIC)
             fh.flush()
             if self.sync:
                 os.fsync(fh.fileno())
         if self.sync:
-            _fsync_dir(path.parent)
+            _fsync_dir(self.path.parent)
 
     @staticmethod
     def _scan(path: Path) -> tuple:
@@ -249,16 +252,12 @@ class WriteAheadLog:
     # -- rotation / lifecycle -------------------------------------------
 
     def rotate(self) -> None:
-        """Atomically replace the journal with a fresh empty one."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-        tmp = self.path.with_name(self.path.name + ".rotate")
-        self._write_fresh(tmp)
-        os.replace(tmp, self.path)
+        """Empty the journal: truncate it to its magic header."""
+        if self._fh is None:
+            raise RuntimeError("journal is closed")
+        self._fh.truncate(len(MAGIC))
         if self.sync:
-            _fsync_dir(self.path.parent)
-        self._fh = open(self.path, "ab")
+            os.fsync(self._fh.fileno())
 
     def close(self) -> None:
         if self._fh is not None:

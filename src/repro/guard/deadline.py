@@ -104,10 +104,6 @@ class CircuitBreaker(Stateful):
         # stay degraded until record_success/record_failure resolves it
         return False
 
-    #: legacy alias — existing report-back call sites predate the
-    #: peek/acquire split and keep the acquire semantics
-    allow = try_acquire_probe
-
     def record_success(self, now: float) -> None:
         self.consecutive_failures = 0
         if self.state != "closed":

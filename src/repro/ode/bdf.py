@@ -23,14 +23,13 @@ migrate (§4.10.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from repro.guard.errors import StagnationError
 from repro.guard.sentinels import WrmsTrendProbe, default_monitor
-from repro.ode.nvector import HostVector, NVector
 from repro.util.timing import TimerRegistry
 
 RhsFn = Callable[[float, np.ndarray], np.ndarray]

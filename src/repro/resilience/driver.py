@@ -32,7 +32,7 @@ The stepper protocol, beyond ``checkpoint_state``/``restore_state``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.resilience.checkpoint import CheckpointStore

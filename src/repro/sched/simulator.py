@@ -23,6 +23,7 @@ from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.obs import validate as _validate
 from repro.util.state import (
+    APPEND,
     COPY,
     NESTED,
     Field,
@@ -840,11 +841,16 @@ class SimulatorSession(Stateful):
     #: the run record as shallow copies (Jobs are frozen dataclasses,
     #: so a copied container is a full snapshot, and the whole dict
     #: pickles for the durable layer), then the queue, injector and
-    #: admission checkpoints
+    #: admission checkpoints.  The run record and the queue series
+    #: only grow, so a journal record carries what the events added.
     _STATE = (
         *fields(
             "t", "events", "next_arrival", "requeues", "requeue_seq",
-            "running", "starts", "finishes", "sheds", "queue_series",
+            "running", kind=COPY,
+        ),
+        *fields("starts", "finishes", "sheds", "queue_series",
+                kind=APPEND),
+        *fields(
             "busy_time", "wasted_time", "failures", "retries",
             "next_fault", "_finished", kind=COPY,
         ),
@@ -854,13 +860,20 @@ class SimulatorSession(Stateful):
     )
 
     def checkpoint_state(self) -> Dict:
+        self._refuse_streamed()
+        return super().checkpoint_state()
+
+    def checkpoint_tails(self, lengths: Dict[str, int]) -> Dict:
+        self._refuse_streamed()
+        return super().checkpoint_tails(lengths)
+
+    def _refuse_streamed(self) -> None:
         if self._stream is not None:
             raise RuntimeError(
                 "streamed sessions are not checkpointable — the "
                 "generator's state cannot be snapshotted; capture the "
                 "stream to a trace and resume from the materialized jobs"
             )
-        return super().checkpoint_state()
 
 
 class ClusterSimulator:

@@ -24,15 +24,12 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.core.forall import ExecutionContext
 from repro.guard.sentinels import default_monitor
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.solvers.coarsen import (
-    C_POINT,
     coarse_fine_counts,
     pmis_coarsen,
     rs_coarsen,

@@ -13,7 +13,7 @@ from typing import Callable, List, Optional, Union
 
 import numpy as np
 
-from repro.guard.errors import BreakdownError, NonFiniteError
+from repro.guard.errors import BreakdownError
 from repro.guard.sentinels import default_monitor
 from repro.solvers.csr import CsrMatrix
 from repro.util.state import COPY, Field, Stateful, convert, fields

@@ -14,6 +14,7 @@ spawned children without spawning them.
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import List, Sequence, Tuple, Union
 
@@ -143,28 +144,21 @@ class _Seeded(ISeedSequence):
         return self.words
 
 
-def keyed_rngs(seed: int, namespace: int,
-               keys: Sequence[int]) -> List[np.random.Generator]:
-    """One generator per key, bit-identical to
-    ``default_rng(SeedSequence(seed, spawn_key=(namespace, key)))``.
+@functools.lru_cache(maxsize=32)
+def _pool_prefix(seed: int, namespace: int
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """SeedSequence's pool after mixing in the seed and namespace words,
+    and the four hash constants the key word mixes with, as uint32
+    arrays (read-only: every call with the pair shares them).
 
-    Builds the whole batch at once.  The seed and namespace words are the
-    same for every key, so they are mixed into SeedSequence's entropy
-    pool once, as Python ints; only the last entropy word (the key) and
-    the ``generate_state(4, uint64)`` output hash run in NumPy, over all
-    keys together.  Each key must fit one uint32 word; anything else
-    raises :class:`ValueError` (it is never truncated).
+    They depend only on ``(seed, namespace)``, and a campaign builds
+    every batch of its run from one pair, so they are computed once
+    per pair, as Python ints.
     """
-    words = np.asarray(keys)
-    if words.size == 0:
-        return []
-    if words.ndim != 1 or words.dtype.kind not in "iu" \
-            or words.min() < 0 or words.max() > _MASK32:
-        raise ValueError("keys must be integers in [0, 2**32)")
-    entropy = _uint32_words(operator.index(seed))
+    entropy = _uint32_words(seed)
     # a spawn key pads the run entropy out to the pool size with zeros
     entropy += [0] * (_POOL_SIZE - len(entropy))
-    entropy += _uint32_words(operator.index(namespace))
+    entropy += _uint32_words(namespace)
     const = _INIT_A
     pool = []
     for word in entropy[:_POOL_SIZE]:
@@ -179,10 +173,36 @@ def keyed_rngs(seed: int, namespace: int,
         for dst in range(_POOL_SIZE):
             mixed, const = _hashmix(word, const)
             pool[dst] = _mix(pool[dst], mixed)
+    pool = np.array(pool, dtype=np.uint32)
+    consts = _hash_consts(const, _MULT_A, _POOL_SIZE)
+    pool.flags.writeable = consts.flags.writeable = False
+    return pool, consts
+
+
+def keyed_rngs(seed: int, namespace: int,
+               keys: Sequence[int]) -> List[np.random.Generator]:
+    """One generator per key, bit-identical to
+    ``default_rng(SeedSequence(seed, spawn_key=(namespace, key)))``.
+
+    Builds the whole batch at once.  The seed and namespace words are the
+    same for every key, so their share of SeedSequence's entropy pool is
+    mixed once per ``(seed, namespace)`` pair and cached
+    (:func:`_pool_prefix`); only the last entropy word (the key) and the
+    ``generate_state(4, uint64)`` output hash run in NumPy, over all keys
+    together.  Each key must fit one uint32 word; anything else raises
+    :class:`ValueError` (it is never truncated).
+    """
+    words = np.asarray(keys)
+    if words.size == 0:
+        return []
+    if words.ndim != 1 or words.dtype.kind not in "iu" \
+            or words.min() < 0 or words.max() > _MASK32:
+        raise ValueError("keys must be integers in [0, 2**32)")
+    pool, consts = _pool_prefix(operator.index(seed),
+                                operator.index(namespace))
     # the key word's four mixing steps, one pool word per column
-    mixed, _ = _hashmix(words.astype(np.uint32)[:, None],
-                        _hash_consts(const, _MULT_A, _POOL_SIZE))
-    pool = _mix(np.array(pool, dtype=np.uint32), mixed)
+    mixed, _ = _hashmix(words.astype(np.uint32)[:, None], consts)
+    pool = _mix(pool, mixed)
     halves, _ = _hashmix(np.tile(pool, 2), _STATE_CONSTS, _MULT_B)
     # little-endian pairs of uint32 words make the uint64 state words;
     # PCG64 reads each row's raw memory, so the rows must be contiguous

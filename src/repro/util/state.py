@@ -17,27 +17,41 @@ down: ``"macro.rng"``, ``"system.x"``) and a :class:`Kind`:
   in place; ``None`` when the owner is absent or keeps no state;
 - :data:`DEQUE` — saved as a list, rebuilt with the live ``maxlen``;
 - :func:`convert` or a ``Kind(save, load)`` pair, for the few values
-  whose checkpoint form differs from the live one.
+  whose checkpoint form differs from the live one;
+- :func:`append_only` of a list kind (:data:`APPEND` for a shallow
+  copy), for a list that only ever grows.  Its save must map a slice
+  of the list to the same slice of the saved list.
 
 Keys are written in ``_STATE`` order, so a derived checkpoint has the
 layout a hand-written method would produce.
+
+An append-only field lets a journal record only what a step added.
+:meth:`Stateful.checkpoint_tails` saves each one as a :class:`Tail`,
+the items past a length the caller holds, and converts only those;
+:func:`resolve_tails` puts a full checkpoint back together from the
+checkpoint of the step the tails extend, and :func:`saved_lengths`
+gives the lengths the next record starts from.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from copy import copy
-from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 
 class Kind(NamedTuple):
     """How one field is saved and written back: ``save(live)`` returns
     the checkpoint value, ``load(live, saved)`` the attribute's restored
     value (the live object itself for the kinds that restore in
-    place)."""
+    place).  ``append_only`` marks a list that only ever grows (see
+    :func:`append_only`)."""
 
     save: Callable[[Any], Any]
     load: Callable[[Any, Any], Any]
+    append_only: bool = False
 
 
 def convert(save: Callable[[Any], Any],
@@ -79,6 +93,90 @@ NESTED = Kind(checkpoint_of, _restore_nested)
 DEQUE = Kind(list, lambda live, saved: deque(saved, live.maxlen))
 
 
+def append_only(kind: Kind) -> Kind:
+    """*kind* for a list that only ever grows.  Its ``save`` must map a
+    slice of the list to the same slice of the saved list, so that
+    ``save(live[n:])`` is the saved list past its first *n* items."""
+    return kind._replace(append_only=True)
+
+
+#: a list that only ever grows, saved as a shallow copy
+APPEND = append_only(COPY)
+
+
+class Tail(NamedTuple):
+    """An append-only field's saved items past its first *start*."""
+
+    start: int
+    items: List[Any]
+
+
+def resolve_tails(base: Any, record: Any) -> Any:
+    """*record* with each :class:`Tail` replaced by the full saved list.
+
+    *base* is the full checkpoint of the step the record extends; a
+    tail's list is *base*'s first ``start`` items followed by the
+    tail's.  Dicts are resolved key by key at any depth, so a payload
+    that wraps a checkpoint resolves as a whole.  Raises
+    :class:`ValueError` when *base* holds fewer than ``start`` items.
+    """
+    if type(record) is Tail:
+        start, items = record
+        prefix = base[:start] if start and type(base) is list else []
+        if len(prefix) != start:
+            raise ValueError(
+                f"a tail from item {start} extends a base of "
+                f"{len(prefix)} items"
+            )
+        return prefix + items
+    if type(record) is dict:
+        if type(base) is not dict:
+            base = {}
+        return {key: resolve_tails(base.get(key), value)
+                for key, value in record.items()}
+    return record
+
+
+def saved_lengths(state: Any) -> Dict[str, int]:
+    """The saved length of each list field of a checkpoint or tails
+    record, by key (a :class:`Tail` counts its start and its items):
+    the lengths a next :meth:`Stateful.checkpoint_tails` extends."""
+    if type(state) is not dict:
+        return {}
+    return {
+        key: value.start + len(value.items) if type(value) is Tail
+        else len(value)
+        for key, value in state.items() if type(value) in (list, Tail)
+    }
+
+
+def state_mismatches(a: Any, b: Any, path: str = "state") -> List[str]:
+    """Paths at which two nested state payloads differ (bit-level)."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                and a.dtype == b.dtype and np.array_equal(a, b)):
+            return [path]
+        return []
+    if isinstance(a, dict) and isinstance(b, dict):
+        out: List[str] = []
+        for k in sorted(set(a) | set(b), key=str):
+            if k not in a or k not in b:
+                out.append(f"{path}.{k}")
+            else:
+                out.extend(state_mismatches(a[k], b[k], f"{path}.{k}"))
+        return out
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        if len(a) != len(b):
+            return [f"{path}(len {len(a)} vs {len(b)})"]
+        out = []
+        for i, (x, y) in enumerate(zip(a, b)):
+            out.extend(state_mismatches(x, y, f"{path}[{i}]"))
+        return out
+    if a != b:
+        return [path]
+    return []
+
+
 class Field:
     """One named piece of checkpoint state.
 
@@ -86,7 +184,7 @@ class Field:
     the value (*key* itself by default).
     """
 
-    __slots__ = ("key", "parents", "attr", "save", "load")
+    __slots__ = ("key", "parents", "attr", "save", "load", "append_only")
 
     def __init__(self, key: str, kind: Kind = VALUE,
                  path: Optional[str] = None):
@@ -94,7 +192,7 @@ class Field:
         self.key = key
         self.parents = tuple(parents)
         self.attr = attr
-        self.save, self.load = kind
+        self.save, self.load, self.append_only = kind
 
     def owner(self, obj):
         """The object holding the attribute; ``None`` when an object
@@ -109,6 +207,30 @@ class Field:
 def fields(*keys: str, kind: Kind = VALUE) -> Tuple[Field, ...]:
     """One field of *kind* per key, each at the attribute of its name."""
     return tuple(Field(key, kind) for key in keys)
+
+
+def _saved(obj, lengths: Optional[Dict[str, int]]
+           ) -> Optional[Dict[str, Any]]:
+    """*obj*'s checkpoint; with *lengths*, its append-only fields are
+    :class:`Tail`\\ s."""
+    schema = obj._STATE
+    if not schema:
+        return None
+    state = {}
+    for field in schema:
+        owner = field.owner(obj)
+        live = None if owner is None else getattr(owner, field.attr)
+        if lengths is not None and field.append_only and live is not None:
+            start = lengths.get(field.key, 0)
+            if start > len(live):
+                raise ValueError(
+                    f"append-only field {field.key!r} holds {len(live)} "
+                    f"items, fewer than the {start} already saved"
+                )
+            state[field.key] = Tail(start, field.save(live[start:]))
+        else:
+            state[field.key] = field.save(live)
+    return state
 
 
 class Stateful:
@@ -136,16 +258,17 @@ class Stateful:
 
     def checkpoint_state(self) -> Optional[Dict[str, Any]]:
         """Every ``_STATE`` field's saved value, keyed in order."""
-        schema = self._STATE
-        if not schema:
-            return None
-        state = {}
-        for field in schema:
-            owner = field.owner(self)
-            state[field.key] = field.save(
-                None if owner is None else getattr(owner, field.attr)
-            )
-        return state
+        return _saved(self, None)
+
+    def checkpoint_tails(self, lengths: Dict[str, int]
+                         ) -> Optional[Dict[str, Any]]:
+        """:meth:`checkpoint_state` with each append-only field saved
+        as a :class:`Tail` of the items past ``lengths[key]`` (all of
+        them when the key is missing); only those items are converted.
+        Other keys of *lengths* are ignored.  Append-only fields are
+        cut at this object's own level; nested checkpoints are whole.
+        """
+        return _saved(self, lengths)
 
     def restore_state(self, state: Dict[str, Any]) -> None:
         """Write every ``_STATE`` field of *state* back, in order."""

@@ -13,7 +13,7 @@ analysis summary back into the macro state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -21,16 +21,18 @@ from repro.core.machine import Machine, get_machine
 from repro.md.gromacs_baseline import modeled_step_times
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.par import Backend, ShmStage, get_backend, map_fanout
+from repro.par import ShmStage, get_backend, map_fanout
 from repro.sched.policies import Fcfs
 from repro.sched.simulator import ClusterSimulator, Job
 from repro.util.rng import make_rng, spawn_keyed
 from repro.util.state import (
+    APPEND,
     COPY,
     NESTED,
     RNG,
     Field,
     Stateful,
+    append_only,
     convert,
     fields,
 )
@@ -140,16 +142,18 @@ class MummiCampaign(Stateful):
                          "n_children_spawned": seq.n_children_spawned},
             lambda saved: np.random.SeedSequence(**saved),
         ), "_eval_root"),
-        Field("explored", COPY),
-        Field("results", convert(
+        # the history only grows, so a journal record carries what
+        # the cycle added; results convert item by item
+        Field("explored", APPEND),
+        Field("results", append_only(convert(
             lambda results: [(r.composition, r.observable)
                              for r in results],
             lambda saved: [MicroResult(composition=c, observable=o)
                            for c, o in saved],
-        )),
+        ))),
         *fields("gpu_hours", "wall_time", "cycles_done", "failures",
                 "job_retries", "jobs_shed", "cycles_over_budget"),
-        Field("rungs_served", COPY),
+        Field("rungs_served", APPEND),
         Field("wasted_gpu_hours"),
         Field("injector", NESTED, "fault_injector"),
         *fields("breaker", "admission", "ladder", kind=NESTED),

@@ -26,8 +26,10 @@ from repro.durable import (
 )
 from repro.durable.wal import MAGIC, read_records
 from repro.obs import metrics as metrics_mod
+from repro.obs.validate import DivergenceError
 from repro.par import WorkerCrashError, map_fanout
 from repro.resilience.checkpoint import atomic_write_bytes
+from repro.util.state import APPEND, Field, Stateful, Tail, saved_lengths
 
 
 # -- top-level fns for process workers (pickling/forking) ------------------
@@ -128,6 +130,26 @@ class TestWriteAheadLog:
             wal.append(b"new-1")
             assert wal.records() == [b"new-1"]
         assert not list(tmp_path.glob("*.rotate"))
+
+    def test_rotation_truncates_in_place(self, tmp_path, fsync_calls):
+        """Rotation cuts the open file back to its magic header: the
+        same file, one fsync with ``sync=True``, and appends after it
+        land right behind the header."""
+        path = tmp_path / "j.wal"
+        with WriteAheadLog(path) as wal:
+            wal.append(b"old-1")
+            inode = os.stat(path).st_ino
+            fsync_calls[0] = 0
+            wal.rotate()
+            assert fsync_calls[0] == 1
+            assert path.read_bytes() == MAGIC
+            assert os.stat(path).st_ino == inode
+            wal.append(b"new-1")
+        with WriteAheadLog(path) as wal:
+            assert (wal.truncated_bytes, wal.records()) == (0, [b"new-1"])
+            wal.close()
+            with pytest.raises(RuntimeError):
+                wal.rotate()
 
     def test_append_after_close_raises(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "j.wal")
@@ -772,6 +794,214 @@ class _ScriptedFaults:
 
     def restore_state(self, state):
         self.next_time, self.next_victim = state["time"], state["victim"]
+
+
+# -------------------------------------------------------------------------
+# delta journal: records carry the tails of append-only fields
+# -------------------------------------------------------------------------
+
+
+def _durable_mummi(seed=11):
+    """perfbench's mummi_durable campaign: faults, retries, deadline
+    sheds and breaker-driven surrogate cycles."""
+    from repro.guard.deadline import AdmissionController, CircuitBreaker
+    from repro.resilience import FaultInjector
+    from repro.workflow.mummi import MummiCampaign
+
+    return MummiCampaign(
+        n_gpus=8, jobs_per_cycle=24, seed=seed, backend="serial",
+        fault_injector=FaultInjector(mtbf=300.0, seed=seed),
+        cycle_budget=190.0,
+        breaker=CircuitBreaker(failure_threshold=2, recovery_time=3.0,
+                               name="mummi"),
+        admission=AdmissionController(),
+    )
+
+
+def _states_by_step(stepper, n_steps=None):
+    """``checkpoint_state()`` after every step of an uninterrupted run."""
+    states = {stepper.progress: stepper.checkpoint_state()}
+    while not (getattr(stepper, "done", False)
+               or stepper.progress == n_steps):
+        stepper.step()
+        states[stepper.progress] = stepper.checkpoint_state()
+    return states
+
+
+class _Growing(Stateful):
+    """A stepper whose list is declared append-only; with *rewrite*,
+    each step also changes an item already journaled, so the
+    declaration is wrong."""
+
+    _STATE = (Field("progress"), Field("xs", APPEND))
+
+    def __init__(self, rewrite=False):
+        self.progress = 0
+        self.xs = []
+        self.rewrite = rewrite
+
+    def step(self):
+        self.progress += 1
+        self.xs.append(self.progress)
+        if self.rewrite:
+            self.xs[0] = -self.progress
+
+
+class TestDeltaJournal:
+    def test_record_bytes_stay_flat(self, tmp_path):
+        """mummi_durable's 40-cycle op: a record carries what its cycle
+        added, so its bytes stay flat (full-state records grew from
+        10.2 KB at cycle 1 to 38.4 KB at cycle 40, 0.95 MB in all)."""
+        frames = []
+        with DurableStore(tmp_path, sync=False) as store:
+            append = store.wal.append
+
+            def counting(payload):
+                frames.append(len(payload) + 8)
+                append(payload)
+
+            store.wal.append = counting
+            ResumableCampaign(_durable_mummi(), store, cadence=10).run(40)
+        assert len(frames) == 40
+        assert abs(frames[39] - frames[1]) <= 0.1 * frames[1]
+        assert sum(frames) < 0.95e6 / 2
+
+    def test_full_state_records_recover(self, tmp_path):
+        """A journal of full-state ``{"step", "payload"}`` records, as
+        earlier versions wrote, recovers; so does one that a handle
+        continues with tails records after recovering it."""
+        states = _states_by_step(_campaign(), 6)
+        camp = _campaign()
+        with DurableStore(tmp_path) as store:
+            store.save_snapshot(0, {"state": camp.checkpoint_state()})
+            for step in range(1, 4):
+                camp.step()
+                store.wal.append(pickle.dumps(
+                    {"step": step,
+                     "payload": {"state": camp.checkpoint_state()}}))
+        with DurableStore(tmp_path) as store:
+            step, payload = store.recover()
+            assert step == 3 and store.records_replayed == 3
+            assert state_mismatches(payload["state"], states[3]) == []
+            lengths = saved_lengths(payload["state"])
+            for step in range(4, 7):
+                camp.step()
+                tails = camp.checkpoint_tails(lengths)
+                store.journal(step, {"state": tails})
+                lengths = saved_lengths(tails)
+        with DurableStore(tmp_path) as store:
+            driver = ResumableCampaign(_campaign(seed=5), store)
+            assert driver.recover() == 6
+            assert store.records_replayed == 6
+        assert state_mismatches(driver.stepper.checkpoint_state(),
+                                states[6]) == []
+
+    @pytest.mark.parametrize("stepper", ["mummi", "session"])
+    def test_cut_anywhere_recovers_the_step_it_holds(self, tmp_path,
+                                                     stepper):
+        """One snapshot, then a chain of tails records cut at every
+        frame boundary and inside every frame (its header and its
+        payload): recovery lands on the last whole record, equal to an
+        uninterrupted run at that step."""
+        if stepper == "mummi":
+            def build(seed=0):
+                return _campaign(seed=seed)
+            n_steps, journal_every = 8, 1
+        else:
+            def build(seed=2):
+                return _build_session(admission="tenancy", seed=seed)
+            n_steps, journal_every = None, 5
+        states = _states_by_step(build(), n_steps)
+        root = tmp_path / "run"
+        with DurableStore(root, sync=False) as store:
+            ResumableCampaign(build(), store, cadence=10**6,
+                              journal_every=journal_every).run(n_steps)
+        steps, ends = [0], [len(MAGIC)]
+        for raw in read_records(root / "journal.wal"):
+            steps.append(pickle.loads(raw)["step"])
+            ends.append(ends[-1] + 8 + len(raw))
+        assert len(ends) > 8
+        journal = (root / "journal.wal").read_bytes()
+        cuts = sorted(set(ends) | {end + 3 for end in ends[:-1]}
+                      | {(a + b) // 2 for a, b in zip(ends, ends[1:])})
+        for cut in cuts:
+            cut_root = tmp_path / f"cut-{cut}"
+            cut_root.mkdir()
+            (cut_root / "snapshot.ckpt").write_bytes(
+                (root / "snapshot.ckpt").read_bytes())
+            (cut_root / "journal.wal").write_bytes(journal[:cut])
+            with DurableStore(cut_root, sync=False) as store:
+                driver = ResumableCampaign(build(seed=999), store)
+                step = driver.recover()
+            assert step == steps[sum(end <= cut for end in ends) - 1]
+            assert state_mismatches(driver.stepper.checkpoint_state(),
+                                    states[step]) == [], cut
+
+    def test_tails_apply_only_onto_their_base(self, tmp_path):
+        """A tails record applies only onto the step it names: one whose
+        base is not the step recovered so far is skipped, and so is
+        every record that extends it."""
+        with DurableStore(tmp_path) as store:
+            store.save_snapshot(2, {"xs": [1, 2]})
+            store.journal(3, {"xs": Tail(2, [3])})
+            for step, base in ((5, 4), (6, 5), (4, 2)):
+                store.wal.append(pickle.dumps({
+                    "step": step, "base": base,
+                    "payload": {"xs": Tail(base, [step])},
+                }))
+        with DurableStore(tmp_path) as store:
+            assert store.recover() == (3, {"xs": [1, 2, 3]})
+            assert (store.records_replayed, store.records_skipped) == (1, 3)
+            store.journal(4, {"xs": Tail(3, [4])})
+        with DurableStore(tmp_path) as store:
+            assert store.recover() == (4, {"xs": [1, 2, 3, 4]})
+
+    def test_journal_needs_the_step_it_extends(self, tmp_path):
+        """A handle that has neither recovered nor snapshotted does not
+        know the step its record extends: on a store holding a snapshot
+        or records it refuses to journal, rather than write a record
+        that recovery would skip."""
+        with DurableStore(tmp_path / "snap") as store:
+            store.save_snapshot(3, {"v": 3})
+        with DurableStore(tmp_path / "snap") as store:
+            with pytest.raises(RuntimeError, match="recover"):
+                store.journal(4, {"v": 4})
+            assert store.recover() == (3, {"v": 3})
+            store.journal(4, {"v": 4})
+        with DurableStore(tmp_path / "snap") as store:
+            assert store.recover() == (4, {"v": 4})
+        with DurableStore(tmp_path / "records") as store:
+            store.journal(1, {"v": 1})
+        with DurableStore(tmp_path / "records") as store:
+            with pytest.raises(RuntimeError, match="recover"):
+                store.journal(2, {"v": 2})
+        # a journal holding only records no recovery reaches recovers
+        # to nothing, and a record journaled after that applies
+        with DurableStore(tmp_path / "orphan") as store:
+            store.wal.append(pickle.dumps(
+                {"step": 5, "base": 4, "payload": {"v": 5}}))
+        with DurableStore(tmp_path / "orphan") as store:
+            assert store.recover() is None
+            store.journal(1, {"v": 1})
+        with DurableStore(tmp_path / "orphan") as store:
+            assert store.recover() == (1, {"v": 1})
+
+    def test_validate_mode_checks_each_record(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_OBS_VALIDATE", "1")
+        checks = metrics_mod.counter("obs.validate.durable.tails.checks")
+        before = checks.value
+        with DurableStore(tmp_path / "ok") as store:
+            ResumableCampaign(_Growing(), store, cadence=3).run(7)
+        assert checks.value - before == 7
+
+    def test_validate_mode_catches_a_wrong_declaration(self, tmp_path,
+                                                       monkeypatch):
+        """A list declared append-only but rewritten in place journals
+        tails that resolve to a stale list; validate mode says so."""
+        monkeypatch.setenv("REPRO_OBS_VALIDATE", "1")
+        with DurableStore(tmp_path) as store:
+            with pytest.raises(DivergenceError, match=r"state\.xs"):
+                ResumableCampaign(_Growing(rewrite=True), store).run(3)
 
 
 # -------------------------------------------------------------------------

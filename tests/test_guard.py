@@ -144,32 +144,32 @@ class TestCircuitBreaker:
     def test_trips_after_threshold(self):
         br = CircuitBreaker(failure_threshold=2, recovery_time=5.0,
                             name="t_br")
-        assert br.allow(0.0)
+        assert br.try_acquire_probe(0.0)
         br.record_failure(0.0)
-        assert br.allow(0.1)      # one failure: still closed
+        assert br.try_acquire_probe(0.1)      # one failure: still closed
         br.record_failure(0.2)
         assert br.state == "open"
-        assert not br.allow(0.3)
+        assert not br.try_acquire_probe(0.3)
         assert br.trips == 1
 
     def test_half_open_probe_and_close(self):
         br = CircuitBreaker(failure_threshold=1, recovery_time=1.0)
         br.record_failure(0.0)
-        assert not br.allow(0.5)
-        assert br.allow(1.5)            # half-open probe admitted
+        assert not br.try_acquire_probe(0.5)
+        assert br.try_acquire_probe(1.5)            # half-open probe admitted
         assert br.state == "half-open"
-        assert not br.allow(1.6)        # only one probe at a time
+        assert not br.try_acquire_probe(1.6)        # only one probe at a time
         br.record_success(1.7)
         assert br.state == "closed"
-        assert br.allow(1.8)
+        assert br.try_acquire_probe(1.8)
 
     def test_half_open_failure_reopens(self):
         br = CircuitBreaker(failure_threshold=1, recovery_time=1.0)
         br.record_failure(0.0)
-        assert br.allow(1.5)
+        assert br.try_acquire_probe(1.5)
         br.record_failure(1.6)
         assert br.state == "open"
-        assert not br.allow(2.0)
+        assert not br.try_acquire_probe(2.0)
         assert br.trips == 2
 
     def test_success_resets_consecutive(self):
@@ -576,10 +576,10 @@ class TestBreakerQueryVsAcquire:
         br.record_success(2.2)
         assert br.peek(2.3)
 
-    def test_allow_alias_keeps_acquire_semantics(self):
+    def test_acquire_past_recovery_goes_half_open(self):
         br = CircuitBreaker(failure_threshold=1, recovery_time=1.0)
         br.record_failure(0.0)
-        assert br.allow(2.0)
+        assert br.try_acquire_probe(2.0)
         assert br.state == "half-open"
 
 

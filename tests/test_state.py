@@ -45,6 +45,7 @@ from repro.solvers.krylov import PcgSolver
 from repro.solvers.problems import poisson_2d, random_spd
 from repro.tenant import BrownoutLadder, multitenant_pileup
 from repro.util.rng import make_rng
+from repro.util.state import Tail, resolve_tails, saved_lengths
 from repro.workflow.mummi import MummiCampaign
 
 # -- scenarios ---------------------------------------------------------
@@ -453,6 +454,62 @@ def test_probe_catches_a_field_left_out_of_the_schema():
     _advance(solver, 5)
     solver.restore_state(pickle.loads(blob))
     assert _differences(before, _snapshot(solver)) == [".rz"]
+
+
+# -- append-only fields ------------------------------------------------
+
+#: steppers with append-only fields: (build mid-run, step it)
+TAILS = {
+    "MummiCampaign": (lambda: _advance(_mummi(), 3),
+                      lambda c: _advance(c, 2)),
+    "MummiCampaign-extras": (lambda: _advance(_mummi(extras=True), 3),
+                             lambda c: _advance(c, 2)),
+    **{
+        f"SimulatorSession-{admission}": (
+            lambda admission=admission: _at_event(100, admission=admission),
+            lambda ses: ses.advance(40),
+        )
+        for admission in ("breaker", "tenancy")
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAILS))
+def test_tails_resolve_to_the_full_checkpoint(name):
+    """Checkpoint, step, checkpoint the tails from the saved lengths:
+    resolved against the first checkpoint, the pickled tails encode
+    exactly as a full checkpoint, and each tail holds only the items
+    the steps added."""
+    build, step = TAILS[name]
+    stepper = build()
+    base = stepper.checkpoint_state()
+    step(stepper)
+    tails = stepper.checkpoint_tails(saved_lengths(base))
+    full = stepper.checkpoint_state()
+    resolved = resolve_tails(base, pickle.loads(pickle.dumps(tails)))
+    assert layout_digest(resolved) == layout_digest(full)
+    cut = {key: value for key, value in tails.items() if type(value) is Tail}
+    assert len(cut) == (3 if name.startswith("Mummi") else 4)
+    for key, tail in cut.items():
+        assert tail.start == len(base[key])
+        assert tail.items == full[key][tail.start:]
+    assert any(tail.items for tail in cut.values())
+
+
+def test_tails_refuse_a_list_that_shrank():
+    campaign = _advance(_mummi(), 2)
+    lengths = saved_lengths(campaign.checkpoint_state())
+    campaign.explored.pop()
+    with pytest.raises(ValueError, match="explored"):
+        campaign.checkpoint_tails(lengths)
+
+
+def test_resolve_tails_needs_the_base_items():
+    assert resolve_tails(None, {"xs": Tail(0, [1])}) == {"xs": [1]}
+    assert resolve_tails({"xs": [1, 2, 3]}, {"xs": Tail(2, [4])}) \
+        == {"xs": [1, 2, 4]}
+    with pytest.raises(ValueError):
+        resolve_tails({"xs": [1]}, {"xs": Tail(2, [3])})
 
 
 # -- the schema itself -------------------------------------------------

@@ -74,6 +74,8 @@ class TestKeyedRngs:
             st.just(0),
             st.integers(min_value=0, max_value=2**32 - 1),
             st.integers(min_value=2**32, max_value=2**64 - 1),
+            # SeedSequence() draws 128 bits of entropy
+            st.integers(min_value=2**96, max_value=2**128 - 1),
             st.integers(min_value=2**64, max_value=2**160),
         ),
         namespace=st.integers(min_value=0, max_value=2),
@@ -85,11 +87,29 @@ class TestKeyedRngs:
     )
     @settings(max_examples=60, deadline=None)
     def test_bit_identical_to_seed_sequence(self, seed, namespace, keys):
-        rngs = keyed_rngs(seed, namespace, keys)
-        assert len(rngs) == len(keys)
-        for key, rng in zip(keys, rngs):
-            assert rng.bit_generator.state \
-                == _seedseq_rng(seed, namespace, key).bit_generator.state
+        # the second call reuses the cached (seed, namespace) pool prefix
+        for _ in range(2):
+            rngs = keyed_rngs(seed, namespace, keys)
+            assert len(rngs) == len(keys)
+            for key, rng in zip(keys, rngs):
+                assert rng.bit_generator.state \
+                    == _seedseq_rng(seed, namespace, key).bit_generator.state
+
+    def test_cache_hits_stay_bit_identical(self):
+        """Batches on one pair, as a campaign builds them, interleaved
+        with other pairs: each hit on the cached prefix builds the same
+        streams as NumPy, for a 128-bit SeedSequence entropy too."""
+        from repro.util.rng import _pool_prefix
+
+        seed = 0x8C3F_0A1B_77D2_4E19_B5C6_2D30_91AF_E4D7
+        hits = _pool_prefix.cache_info().hits
+        for start in range(0, 96, 24):
+            for s, namespace in ((seed, 1), (7, 0), (seed, 0)):
+                keys = range(start, start + 24)
+                for key, rng in zip(keys, keyed_rngs(s, namespace, keys)):
+                    assert rng.bit_generator.state == _seedseq_rng(
+                        s, namespace, key).bit_generator.state
+        assert _pool_prefix.cache_info().hits - hits >= 9
 
     def test_duplicate_unsorted_keys_and_array_input(self):
         keys = [7, 2**32 - 1, 0, 7, 3, 0]
