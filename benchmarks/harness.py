@@ -1,45 +1,76 @@
 #!/usr/bin/env python
 """Perf-regression harness: time the hot paths, emit BENCH_N.json.
 
-Runs a curated subset of the repo's performance-critical kernels with
-fixed seeds, timing both the SEQ reference implementation and the
-vectorized fast path of each:
+The harness times what neither tier-1 nor the repo benchmark
+(``perfbench/``) checks: fast kernels against their references, the
+parallel backends' speedup, and the tax of machinery that must be
+nearly free.  Every sample comes from one sampler, :func:`measure`,
+and each gate is one statistic of its samples.
+
+Kernel cases time the reference and the fast path, best of N each,
+and check that the two agree:
 
 - ``gauss_seidel``   — lexicographic triangular-solve sweeps vs the
   multicolor (red-black) vectorized sweeps.
 - ``md_neighbor``    — per-cell Python-loop neighbor build vs the
   compiled periodic kd-tree build.
-- ``md_forces``      — ``np.add.at`` force scatter vs the per-component
-  ``np.bincount`` scatter.
-- ``sched_events``   — policy.select over a list (O(queue) per event)
-  vs the heap-backed fast queue engine.
+- ``md_forces``      — ``np.add.at`` force scatter vs the fused
+  scatter (the plain ``np.bincount`` scatter rides along).
+- ``sched_events``   — the reference event queue vs the heap-backed
+  fast queue engine.
 - ``trace_pricing``  — per-entry roofline pricing (memo disabled) of a
   plain trace vs pricing the record-time-compacted trace with memoized
   per-launch times; totals must agree.
 - ``jit_warm_start`` — cold render+compile vs warm start from the
   persistent on-disk JIT cache.
 
-Each case records ``wall_s`` (fast path), ``ref_wall_s`` (reference),
-``speedup``, and — where the workload has a roofline trace —
-``modeled_s``, the modeled execution time on the sierra node.  Modeled
-times come from the performance model, not the host clock, so they are
-bit-stable across machines; wall times are what the regression gate
-checks.
+Parallel cases gate speedup and efficiency, best of N, with results
+bit-equal across backends: ``par_fanout`` (4 process workers >= 2x,
+and the serial ``map_fanout`` path within 3% of a direct loop),
+``fine_grain_fanout`` (work stealing vs static chunking on a skewed
+fan-out) and ``scaling_curve`` (steal-thread efficiency at 4 workers
+>= 0.75).
+
+Overhead cases gate a mechanism's tax on alternating pairs:
+
+- ``guard_overhead``       — disabled guard on the PCG loop, median
+  pair ratio < 3%;
+- ``durability_overhead``  — WAL journaling of a ddcMD member,
+  min journaled / min bare < 5%;
+- ``arbiter_off_overhead`` — tenant registry with the arbiter off vs
+  the bare guard stack, min over 3 blocks of the 12-pair median < 3%;
+- ``capture_overhead``     — live capture tap vs batch write-then-run,
+  min over 5 blocks of the 16-pair median < 3%.
+
+Each also records, ungated, the median pair ratio over all its pairs
+and its 95% order-statistic interval (``median_pct``,
+``interval_pct``).  End-to-end correctness is tier-1's: traffic
+replay and latency bands in ``tests/test_traffic.py``, tenant
+containment in ``tests/test_tenant.py``, the journaled trajectory in
+``tests/test_durable.py``.
+
+Each case records ``wall_s`` (fast or test side), ``ref_wall_s``
+(reference or base side), ``speedup`` and, where the workload has a
+roofline trace, ``modeled_s``, the modeled execution time on the
+sierra node (bit-stable across machines).
 
 Output is ``BENCH_<n>.json`` in the repo root (next free index, or
-``--output``).  When an earlier ``BENCH_*.json`` exists, each case's
-``wall_s`` is compared against the most recent baseline with the same
-mode; a slowdown beyond ``--tolerance`` (default 1.5x, wall clocks are
-noisy) fails the run with exit code 1.
+``--output``).  A failed check exits 2.  When an earlier
+``BENCH_*.json`` of the same mode exists, each case's ``wall_s`` is
+compared against it; a slowdown beyond ``TOLERANCE`` (wall clocks are
+noisy) exits 1.
 
-``--smoke`` shrinks every case for CI (< ~1 minute total); full mode
-uses the sizes the acceptance numbers quote (10^4-row Gauss-Seidel,
-8000-particle neighbor build, 10^4-job schedule, 10^5-launch trace).
+``--smoke`` shrinks every case for CI; full mode uses the sizes the
+acceptance numbers quote (10^4-row Gauss-Seidel, 8000-particle
+neighbor build, 10^4-job schedule, 10^5-launch trace).  ``--only``
+runs the named cases; an unknown name exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import gc
 import json
 import re
@@ -48,7 +79,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -57,28 +88,80 @@ sys.path.insert(0, str(REPO / "src"))
 
 SCHEMA = 1
 
-
-def _timed(fn: Callable[[], object]) -> Tuple[object, float]:
-    t0 = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - t0
+#: allowed wall-time ratio of a case against its baseline
+TOLERANCE = 1.5
 
 
-def _timed_best(fn: Callable[[], object], n: int) -> Tuple[object, float]:
-    """Best-of-*n* wall time (and the last result).
+class Samples(NamedTuple):
+    """What :func:`measure` took: each side's wall times in run order,
+    and each side's last output."""
 
-    Scheduling and allocator noise is strictly additive, so the
-    fastest sample is the closest estimate of the true cost.  Used on
-    BOTH sides of a comparison — a best-of-N fast path against a
-    single-sample reference flatters the speedup by however much
-    noise the one reference sample happened to absorb.
+    test: List[float]
+    base: List[float]
+    out: Any
+    base_out: Any
+
+    @property
+    def ratios(self) -> np.ndarray:
+        """Per-pair ``test / base`` wall ratios."""
+        return np.array(self.test) / np.array(self.base)
+
+
+def measure(test: Callable[[], Any], base: Optional[Callable[[], Any]] = None,
+            pairs: int = 1) -> Samples:
+    """Time *pairs* calls of *test*, each paired with one of *base*.
+
+    The harness's only clock.  Paired sides share the ambient machine
+    speed, which drifts far more than a few percent over a series;
+    they alternate which runs first, *base* first in the first pair.
+    Without a base, *pairs* is the number of samples of *test*.  gc
+    is off while sampling, so no side pays for the other's garbage,
+    and is restored afterwards, also when a call raises.
     """
-    best = float("inf")
-    out = None
-    for _ in range(n):
-        out, t = _timed(fn)
-        best = min(best, t)
-    return out, best
+    times: Tuple[List[float], List[float]] = ([], [])
+    outs = [None, None]
+
+    def run(side: int, fn: Callable[[], Any]) -> None:
+        t0 = time.perf_counter()
+        outs[side] = fn()
+        times[side].append(time.perf_counter() - t0)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for i in range(pairs):
+            if base is not None and i % 2 == 0:
+                run(1, base)
+            run(0, test)
+            if base is not None and i % 2 == 1:
+                run(1, base)
+    finally:
+        if enabled:
+            gc.enable()
+    return Samples(times[0], times[1], outs[0], outs[1])
+
+
+def _pct(ratio: float) -> float:
+    return round((float(ratio) - 1.0) * 100, 2)
+
+
+def _mid(ratios: np.ndarray) -> float:
+    """A block's statistic: the upper median, ``sorted(r)[n // 2]``."""
+    return float(np.sort(ratios)[len(ratios) // 2])
+
+
+def spread(ratios: np.ndarray) -> Dict[str, Any]:
+    """The ungated noise picture of an overhead case's pair ratios.
+
+    The median ratio and its 95% order-statistic interval
+    ``[r[k], r[n-1-k]]`` over the sorted ratios ``r``, with
+    ``k = floor(n/2 - 0.98 sqrt(n))``, both in percent over 1.
+    """
+    r = np.sort(ratios)
+    n = len(r)
+    k = int(np.floor(n / 2 - 0.98 * np.sqrt(n)))
+    return {"median_pct": _pct(np.median(r)),
+            "interval_pct": [_pct(r[k]), _pct(r[n - 1 - k])]}
 
 
 def _case(name: str, wall_s: float, ref_wall_s: Optional[float] = None,
@@ -122,15 +205,13 @@ def case_gauss_seidel(smoke: bool) -> Dict:
     b = rng.standard_normal(n)
     x0 = np.zeros(n)
 
-    ref, t_ref = _timed_best(
-        lambda: gauss_seidel(a, b, x0, sweeps=sweeps), 3
-    )
+    ref = measure(lambda: gauss_seidel(a, b, x0, sweeps=sweeps), pairs=3)
     gauss_seidel_multicolor(a, b, x0, sweeps=1)  # build/cache the coloring
-    fast, t_fast = _timed_best(
-        lambda: gauss_seidel_multicolor(a, b, x0, sweeps=sweeps), 3
+    fast = measure(
+        lambda: gauss_seidel_multicolor(a, b, x0, sweeps=sweeps), pairs=3
     )
-    r_ref = float(np.linalg.norm(b - a.tocsr() @ ref))
-    r_fast = float(np.linalg.norm(b - a.tocsr() @ fast))
+    r_ref = float(np.linalg.norm(b - a.tocsr() @ ref.out))
+    r_fast = float(np.linalg.norm(b - a.tocsr() @ fast.out))
     ok = r_fast <= 1.5 * r_ref
     # modeled cost of the sweeps' SpMV work on sierra (1 GPU)
     ctx.trace.clear()
@@ -139,7 +220,7 @@ def case_gauss_seidel(smoke: bool) -> Dict:
     model = RooflineModel(get_machine("sierra"))
     modeled = model.run_on_gpu(ctx.trace, compact=True).total
     return _case(
-        "gauss_seidel", t_fast, t_ref, modeled,
+        "gauss_seidel", min(fast.test), min(ref.test), modeled,
         "ok" if ok else f"residual {r_fast:.3e} vs ref {r_ref:.3e}",
     )
 
@@ -160,15 +241,15 @@ def case_md_neighbor(smoke: bool) -> Dict:
     system = _md_setup(smoke)
     ref_nl = NeighborList(cutoff=2.5, skin=0.3, method="reference")
     fast_nl = NeighborList(cutoff=2.5, skin=0.3, method="fast")
-    _, t_ref = _timed_best(lambda: ref_nl.build(system), 3)
-    _, t_fast = _timed_best(lambda: fast_nl.build(system), 3)
+    ref = measure(lambda: ref_nl.build(system), pairs=3)
+    fast = measure(lambda: fast_nl.build(system), pairs=3)
     ref_pairs = set(zip(np.minimum(ref_nl.pairs_i, ref_nl.pairs_j).tolist(),
                         np.maximum(ref_nl.pairs_i, ref_nl.pairs_j).tolist()))
     fast_pairs = set(zip(np.minimum(fast_nl.pairs_i, fast_nl.pairs_j).tolist(),
                          np.maximum(fast_nl.pairs_i, fast_nl.pairs_j).tolist()))
     ok = ref_pairs == fast_pairs
     return _case(
-        "md_neighbor", t_fast, t_ref, None,
+        "md_neighbor", min(fast.test), min(ref.test), None,
         "ok" if ok else "pair sets differ",
     )
 
@@ -188,20 +269,23 @@ def case_md_forces(smoke: bool) -> Dict:
             out = proc.compute(system, nl.pairs_i, nl.pairs_j, method=method)
         return out
 
-    (f_ref, e_ref, _), t_ref = _timed_best(lambda: run("reference"), 3)
-    (f_fast, e_fast, _), t_fast = _timed_best(lambda: run("fused"), 3)
-    (f_bc, e_bc, _), t_bincount = _timed_best(lambda: run("fast"), 3)
+    ref = measure(lambda: run("reference"), pairs=3)
+    fast = measure(lambda: run("fused"), pairs=3)
+    bincount = measure(lambda: run("fast"), pairs=3)
+    (f_ref, e_ref, _), (f_fast, e_fast, _), (f_bc, e_bc, _) = (
+        ref.out, fast.out, bincount.out
+    )
     ok = (
         np.allclose(f_ref, f_fast, atol=1e-9) and np.isclose(e_ref, e_fast)
         and np.allclose(f_ref, f_bc, atol=1e-9) and np.isclose(e_ref, e_bc)
     )
     case = _case(
-        "md_forces", t_fast, t_ref, None,
+        "md_forces", min(fast.test), min(ref.test), None,
         "ok" if ok else "forces differ",
     )
     # the pre-fusion fast path rides along so the fused kernel's win
     # over plain bincount scatter stays visible in the report
-    case["bincount_wall_s"] = round(t_bincount, 6)
+    case["bincount_wall_s"] = round(min(bincount.test), 6)
     return case
 
 
@@ -212,15 +296,16 @@ def case_sched_events(smoke: bool) -> Dict:
     jobs = batch_workload(n_jobs=n_jobs, seed=7)
     sim = ClusterSimulator(16)
     policy = Sjf()
-    r_ref, t_ref = _timed(lambda: sim.run(jobs, policy, engine="reference"))
-    r_fast, t_fast = _timed(lambda: sim.run(jobs, policy, engine="fast"))
+    s = measure(lambda: sim.run(jobs, policy, engine="fast"),
+                lambda: sim.run(jobs, policy, engine="reference"))
+    r_fast, r_ref = s.out, s.base_out
     ok = (
         r_ref.makespan == r_fast.makespan
         and r_ref.mean_wait == r_fast.mean_wait
         and r_ref.queue_series == r_fast.queue_series
     )
     return _case(
-        "sched_events", t_fast, t_ref, None,
+        "sched_events", s.test[0], s.base[0], None,
         "ok" if ok else "schedules differ",
     )
 
@@ -260,7 +345,7 @@ def case_trace_pricing(smoke: bool) -> Dict:
     machine = get_machine("sierra")
     ref_model = RooflineModel(machine, memo_size=0)
     fast_model = RooflineModel(machine)
-    rep_ref, t_ref = _timed_best(lambda: ref_model.run_on_gpu(plain), 3)
+    ref = measure(lambda: ref_model.run_on_gpu(plain), pairs=3)
     # the fast pricing is microseconds; average it for a stable wall
     reps = 100
 
@@ -270,14 +355,14 @@ def case_trace_pricing(smoke: bool) -> Dict:
             rep = fast_model.run_on_gpu(compacting, compact=True)
         return rep
 
-    rep_fast, t_fast = _timed(price_fast)
-    t_fast /= reps
+    fast = measure(price_fast)
+    rep_ref, rep_fast = ref.out, fast.out
     ok = (
         np.isclose(rep_ref.total, rep_fast.total, rtol=1e-9)
         and np.isclose(rep_ref.kernel_time, rep_fast.kernel_time, rtol=1e-9)
     )
     return _case(
-        "trace_pricing", t_fast, t_ref, rep_fast.total,
+        "trace_pricing", fast.test[0] / reps, min(ref.test), rep_fast.total,
         "ok" if ok else
         f"totals differ: {rep_ref.total} vs {rep_fast.total}",
     )
@@ -292,48 +377,36 @@ def case_jit_warm_start(smoke: bool) -> Dict:
         + [f"    acc = acc * $A + $B + {i}" for i in range(30)]
         + ["    return acc"]
     )
-    tmps: List[str] = []
-    try:
-        def compile_all(cache: JitCache) -> float:
-            total = 0.0
-            for i in range(n_kernels):
-                k = cache.compile(
-                    "kern", template, {"A": 1.0 + i, "B": float(i)}
-                )
-                total += k(1.0)
-            return total
 
-        # each cold sample gets its own empty persist dir (a reused
-        # dir would turn samples 2-3 into warm starts); best-of-3 on
-        # the cold side mirrors the warm side's statistic
-        t_cold = float("inf")
-        v_cold = None
-        for _ in range(3):
-            tmp = tempfile.mkdtemp(prefix="bench-jit-")
-            tmps.append(tmp)
-            cold = JitCache(persist_dir=tmp)
-            v_cold, t = _timed(lambda: compile_all(cold))
-            t_cold = min(t_cold, t)
-        # each fresh cache instance is a genuine warm start (in-memory
-        # cache empty, disk populated); best-of-3 keeps this ~1 ms
-        # sample from being poisoned by a scheduling hiccup
-        t_warm = float("inf")
-        v_warm = None
-        ok = True
-        for _ in range(3):
-            warm = JitCache(persist_dir=tmps[-1])
-            v_warm, t = _timed(lambda: compile_all(warm))
-            t_warm = min(t_warm, t)
-            ok = ok and warm.disk_hits == n_kernels
-        ok = ok and v_cold == v_warm
-        return _case(
-            "jit_warm_start", t_warm, t_cold, None,
-            "ok" if ok else
-            f"disk hits {warm.disk_hits}/{n_kernels}",
-        )
+    def compile_all(persist_dir: str) -> Tuple[float, int]:
+        cache = JitCache(persist_dir=persist_dir)
+        total = 0.0
+        for i in range(n_kernels):
+            k = cache.compile("kern", template, {"A": 1.0 + i, "B": float(i)})
+            total += k(1.0)
+        return total, cache.disk_hits
+
+    # each cold sample gets its own empty persist dir (a reused dir
+    # would turn samples 2-3 into warm starts); each warm sample is a
+    # fresh cache instance (in-memory cache empty, disk populated);
+    # best-of-3 on both sides keeps the ~1 ms warm sample from being
+    # poisoned by a scheduling hiccup
+    tmps = [tempfile.mkdtemp(prefix="bench-jit-") for _ in range(3)]
+    warm_runs: List[Tuple[float, int]] = []
+    try:
+        dirs = iter(tmps)
+        cold = measure(lambda: compile_all(next(dirs)), pairs=3)
+        warm = measure(lambda: warm_runs.append(compile_all(tmps[-1])),
+                       pairs=3)
     finally:
         for tmp in tmps:
             shutil.rmtree(tmp, ignore_errors=True)
+    ok = warm_runs == [(cold.out[0], n_kernels)] * 3
+    return _case(
+        "jit_warm_start", min(warm.test), min(cold.test), None,
+        "ok" if ok else
+        f"disk hits {[hits for _, hits in warm_runs]}/{n_kernels}",
+    )
 
 
 def case_guard_overhead(smoke: bool) -> Dict:
@@ -348,13 +421,10 @@ def case_guard_overhead(smoke: bool) -> Dict:
     and on this hardware the resulting cache-aliasing differences
     swing a naive A/B by several percent per process, either sign.
 
-    Samples are paired (adjacent runs share the ambient machine
-    speed, which drifts far more than 3% over a full series), order
-    alternates within pairs, and the verdict is the median of the
-    per-pair time ratios — robust to contention bursts, which only
-    poison the pairs they overlap.  An admission run afterwards sheds
-    one job, populating the ``guard.shed*`` counters recorded in the
-    report snapshot.
+    The verdict is the median of the per-pair time ratios — robust
+    to contention bursts, which only poison the pairs they overlap.
+    An admission run afterwards sheds one job, populating the
+    ``guard.shed*`` counters recorded in the report snapshot.
     """
     from repro.guard import AdmissionController, guard_override
     from repro.sched.policies import Fcfs
@@ -419,33 +489,10 @@ def case_guard_overhead(smoke: bool) -> Dict:
         x, _ = solver.solve()
         return x
 
-    reps = 80 if smoke else 40
-    ratios: List[float] = []
-    t_bare: List[float] = []
-    t_guarded: List[float] = []
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        with guard_override("off"):
-            x_bare = x_guarded = None
-            for i in range(reps):
-                if i % 2 == 0:
-                    x_bare, t_b = _timed(bare_pcg)
-                    x_guarded, t_g = _timed(guarded_off_pcg)
-                else:
-                    x_guarded, t_g = _timed(guarded_off_pcg)
-                    x_bare, t_b = _timed(bare_pcg)
-                ratios.append(t_g / t_b)
-                t_bare.append(t_b)
-                t_guarded.append(t_g)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    best_bare = min(t_bare)
-    best_guarded = min(t_guarded)
-    overhead = float(np.median(ratios)) - 1.0
-    same = np.array_equal(x_bare, x_guarded)
-    if not same:
+    with guard_override("off"):
+        s = measure(guarded_off_pcg, bare_pcg, pairs=80 if smoke else 40)
+    overhead = float(np.median(s.ratios)) - 1.0
+    if not np.array_equal(s.out, s.base_out):
         check = "guard-off PCG diverged from the bare loop"
     elif overhead > 0.03:
         check = f"disabled-guard overhead {overhead * 100:.2f}% > 3%"
@@ -459,7 +506,9 @@ def case_guard_overhead(smoke: bool) -> Dict:
          Job(job_id=1, arrival=0.0, service=1.0)],
         Fcfs(), admission=AdmissionController(),
     )
-    return _case("guard_overhead", best_guarded, best_bare, None, check)
+    case = _case("guard_overhead", min(s.test), min(s.base), None, check)
+    case.update(spread(s.ratios))
+    return case
 
 
 def _par_fanout_task(args):
@@ -479,8 +528,8 @@ def case_par_fanout(smoke: bool) -> Dict:
     wait, the ensemble-member shape of the paper's workflow layer), so
     the 4-worker speedup is meaningful even on a single-core host.
     Checks: process results bit-equal to serial, serial ``map_fanout``
-    within 3% of a direct loop, and >= 2x wall-clock speedup with 4
-    process workers.
+    within 3% of a direct loop (one pair), and >= 2x wall-clock
+    speedup with 4 process workers.
     """
     from repro.par import map_fanout
 
@@ -490,19 +539,17 @@ def case_par_fanout(smoke: bool) -> Dict:
     seqs = np.random.SeedSequence(17).spawn(n_tasks)
     items = [(seqs[i], size, delay) for i in range(n_tasks)]
 
-    direct, t_direct = _timed(
-        lambda: [_par_fanout_task(it) for it in items]
-    )
-    serial, t_serial = _timed(
-        lambda: map_fanout(_par_fanout_task, items, backend="serial")
+    serial = measure(
+        lambda: map_fanout(_par_fanout_task, items, backend="serial"),
+        lambda: [_par_fanout_task(it) for it in items],
     )
     map_fanout(_par_fanout_task, items[:2], backend="process:4")  # warm pool
-    par, t_par = _timed(
+    par = measure(
         lambda: map_fanout(_par_fanout_task, items, backend="process:4")
     )
-    overhead = t_serial / t_direct - 1.0
-    speedup = t_serial / t_par
-    if serial != direct or par != serial:
+    overhead = serial.ratios[0] - 1.0
+    speedup = serial.test[0] / par.test[0]
+    if serial.out != serial.base_out or par.out != serial.out:
         check = "backend results differ"
     elif overhead > 0.03:
         check = f"serial-path overhead {overhead * 100:.2f}% > 3%"
@@ -510,14 +557,14 @@ def case_par_fanout(smoke: bool) -> Dict:
         check = f"speedup {speedup:.2f}x < 2x at 4 workers"
     else:
         check = "ok"
-    return _case("par_fanout", t_par, t_serial, None, check)
+    return _case("par_fanout", par.test[0], serial.test[0], None, check)
 
 
 def case_durability_overhead(smoke: bool) -> Dict:
     """WAL-journaling tax on a ddcMD ensemble member, gated < 5%.
 
     The member is driven by :class:`repro.durable.ResumableCampaign`
-    committing its full ``checkpoint_state()`` to a
+    committing its checkpoint state to a
     :class:`repro.durable.DurableStore` every ``journal_every=8``
     steps (so a SIGKILL loses at most 8 steps — seconds of simulated
     work against the paper's minutes-long MD segments).  The gated
@@ -529,32 +576,29 @@ def case_durability_overhead(smoke: bool) -> Dict:
     by device sync latency, which varies an order of magnitude across
     hosts and says nothing about the journaling machinery.
 
-    Samples are paired with alternating order and the verdict is the
-    best-of-N ratio (``min(t_journaled) / min(t_bare)``): with ~0.7 s
-    samples, scheduling and allocator noise is strictly additive and
-    multi-percent, so the fastest sample on each side is the closest
-    estimate of the true cost; the median per-pair ratio rides along
-    as ``overhead_median_pct`` for the noise picture.  Construction
-    (particle system, first neighbor build) happens outside the timed
-    region on both sides — its allocation-layout jitter is several
-    percent per run, pure noise against a few-percent signal.
-    Correctness rides along: the journaled trajectory must be
-    bit-identical to the bare run (journaling must observe, never
-    perturb), and the store must recover the final committed state
-    bit-exactly.
+    The verdict is the best-of-N ratio (``min(t_journaled) /
+    min(t_bare)``): with ~0.2-0.7 s samples, scheduling and allocator
+    noise is strictly additive and multi-percent, so the fastest
+    sample on each side is the closest estimate of the true cost.
+    Every sample's member is built before sampling, so construction
+    (particle system, store, campaign) stays outside the timed region
+    on both sides — its allocation-layout jitter is several percent
+    per run, pure noise against a few-percent signal.  That the
+    journaled trajectory is bit-identical to the bare run, and that
+    the store recovers it, is tier-1's
+    (``tests/test_durable.py::TestResumableCampaign``).
     """
-    from repro.durable import DurableStore, ResumableCampaign, state_mismatches
+    from repro.durable import DurableStore, ResumableCampaign
     from repro.md.ddcmd import DdcMD
     from repro.md.particles import ParticleSystem, PeriodicBox
     from repro.md.potentials import LennardJones, PairProcessor
+    from repro.par import shutdown_pools
 
     n = 1500 if smoke else 4000
     n_steps = 24
-    journal_every = 8
-    cadence = 24
-    # the verdict is a median of per-pair ratios; below ~12 pairs a
-    # single multi-percent OS-noise excursion can drag the median over
-    # the gate, so full mode pays for the same sample count as smoke
+    # the verdict is a best-of-N ratio; below ~12 pairs a single
+    # multi-percent OS-noise excursion can drag it over the gate, so
+    # full mode pays for the same sample count as smoke
     reps = 12
 
     def make_md() -> DdcMD:
@@ -564,95 +608,41 @@ def case_durability_overhead(smoke: bool) -> Dict:
         system = ParticleSystem.random_gas(n, box, seed=11)
         return DdcMD(system, PairProcessor(LennardJones(cutoff=2.5)))
 
-    def run_bare() -> Tuple[DdcMD, float]:
-        md = make_md()
+    def drive(md: DdcMD) -> None:
+        while md.progress < n_steps:
+            md.step()
 
-        def drive():
-            while md.progress < n_steps:
-                md.step()
-
-        _, t = _timed(drive)
-        return md, t
-
-    def run_journaled(sync: bool, root: str) -> Tuple[DdcMD, float]:
-        md = make_md()
-        with DurableStore(root, sync=sync) as store:
-            campaign = ResumableCampaign(
-                md, store, cadence=cadence, journal_every=journal_every,
-            )
-            _, t = _timed(lambda: campaign.run(n_steps))
-        return md, t
-
-    def sample_journaled(sync: bool) -> Tuple[DdcMD, float]:
-        with tempfile.TemporaryDirectory(prefix="bench-dur-") as root:
-            return run_journaled(sync, root)
-
-    ratios: List[float] = []
-    t_bare: List[float] = []
-    t_journaled: List[float] = []
-    md_bare = md_journaled = None
     # earlier cases leave pool workers and a fragmented heap behind;
     # both inflate the journaled side (its large pickle blobs churn
     # the allocator) without touching the bare side symmetrically
-    from repro.par import shutdown_pools
-
     shutdown_pools()
-    gc.collect()
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for i in range(reps):
-            if i % 2 == 0:
-                md_bare, t_b = run_bare()
-                md_journaled, t_j = sample_journaled(False)
-            else:
-                md_journaled, t_j = sample_journaled(False)
-                md_bare, t_b = run_bare()
-            ratios.append(t_j / t_b)
-            t_bare.append(t_b)
-            t_journaled.append(t_j)
-        _, t_fsync = sample_journaled(True)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    # the gated statistic is best-of-N on each side: scheduling and
-    # allocator noise is strictly additive, so the fastest sample is
-    # the closest estimate of the true cost on both sides; the median
-    # per-pair ratio rides along for the noise picture
-    overhead = min(t_journaled) / min(t_bare) - 1.0
-    overhead_median = float(np.median(ratios)) - 1.0
-    fsync_overhead = t_fsync / min(t_bare) - 1.0
+    with tempfile.TemporaryDirectory(prefix="bench-dur-") as root, \
+            contextlib.ExitStack() as stores:
 
-    # journaling must observe, never perturb: bit-identical trajectory
-    same_traj = np.array_equal(
-        md_bare.system.x, md_journaled.system.x
-    ) and np.array_equal(
-        md_bare.system.v, md_journaled.system.v
-    )
-    # and the store must hand back exactly the final committed state
-    with tempfile.TemporaryDirectory(prefix="bench-dur-") as root:
-        md_final, _ = run_journaled(False, root)
-        with DurableStore(root) as store:
-            rec = store.recover()
-        recovered_ok = (
-            rec is not None
-            and rec[0] == n_steps
-            and not state_mismatches(rec[1]["state"],
-                                     md_final.checkpoint_state())
-        )
+        def journaled(sync: bool) -> ResumableCampaign:
+            store = stores.enter_context(
+                DurableStore(tempfile.mkdtemp(dir=root), sync=sync)
+            )
+            return ResumableCampaign(make_md(), store, cadence=24,
+                                     journal_every=8)
 
-    if not same_traj:
-        check = "journaled trajectory diverged from the bare run"
-    elif not recovered_ok:
-        check = "recovered state is not bit-exact"
-    elif overhead > 0.05:
+        bare = iter([make_md() for _ in range(reps)])
+        journal = iter([journaled(False) for _ in range(reps)])
+        synced = journaled(True)
+        gc.collect()
+        s = measure(lambda: next(journal).run(n_steps),
+                    lambda: drive(next(bare)), pairs=reps)
+        fsync = measure(lambda: synced.run(n_steps))
+    overhead = min(s.test) / min(s.base) - 1.0
+    fsync_overhead = fsync.test[0] / min(s.base) - 1.0
+    if overhead > 0.05:
         check = f"journaling overhead {overhead * 100:.2f}% > 5%"
     else:
         check = "ok"
-    case = _case("durability_overhead", min(t_journaled), min(t_bare),
-                 None, check)
+    case = _case("durability_overhead", min(s.test), min(s.base), None,
+                 check)
     case["overhead_pct"] = round(overhead * 100, 2)
-    case["overhead_median_pct"] = round(overhead_median * 100, 2)
+    case.update(spread(s.ratios))
     case["fsync_overhead_pct"] = round(fsync_overhead * 100, 2)
     return case
 
@@ -687,19 +677,21 @@ def case_fine_grain_fanout(smoke: bool) -> Dict:
     static_max = 2.2 if smoke else 2.0
     items = [(i, heavy if i < n_heavy else light) for i in range(n)]
 
-    serial, t_serial = _timed_best(
-        lambda: map_fanout(_sleep_task, items, backend="serial"), 2
-    )
+    def fanout(backend: str) -> Samples:
+        return measure(
+            lambda: map_fanout(_sleep_task, items, backend=backend), pairs=2
+        )
+
+    serial = fanout("serial")
     map_fanout(_sleep_task, items[:8], backend="thread:4")  # warm pool
-    static, t_static = _timed_best(
-        lambda: map_fanout(_sleep_task, items, backend="thread:4"), 2
-    )
-    steal, t_steal = _timed_best(
-        lambda: map_fanout(_sleep_task, items, backend="steal-thread:4"), 2
+    static = fanout("thread:4")
+    steal = fanout("steal-thread:4")
+    t_serial, t_static, t_steal = (
+        min(s.test) for s in (serial, static, steal)
     )
     static_speedup = t_serial / t_static
     steal_speedup = t_serial / t_steal
-    if static != serial or steal != serial:
+    if static.out != serial.out or steal.out != serial.out:
         check = "backend results differ"
     elif steal_speedup < steal_min:
         check = (f"steal speedup {steal_speedup:.2f}x < {steal_min}x "
@@ -731,15 +723,15 @@ def case_scaling_curve(smoke: bool) -> Dict:
     delay = 0.002 if smoke else 0.003
     items = [(i, delay) for i in range(n)]
 
-    walls: Dict[int, float] = {}
-    results = {}
-    for w in (1, 2, 4):
-        results[w], walls[w] = _timed_best(
-            lambda: map_fanout(_sleep_task, items,
-                               backend=f"steal-thread:{w}"), 2
-        )
+    runs = {
+        w: measure(lambda: map_fanout(_sleep_task, items,
+                                      backend=f"steal-thread:{w}"),
+                   pairs=2)
+        for w in (1, 2, 4)
+    }
+    walls = {w: min(s.test) for w, s in runs.items()}
     eff4 = walls[1] / (4 * walls[4])
-    if not (results[1] == results[2] == results[4]):
+    if not (runs[1].out == runs[2].out == runs[4].out):
         check = "results differ across worker counts"
     elif eff4 < 0.75:
         check = f"efficiency at 4 workers {eff4:.2f} < 0.75"
@@ -752,217 +744,43 @@ def case_scaling_curve(smoke: bool) -> Dict:
     return case
 
 
-def case_traffic_openloop(smoke: bool) -> Dict:
-    """Open-loop traffic through the guarded scheduler, with replay.
+def case_arbiter_off_overhead(smoke: bool) -> Dict:
+    """Tenant registry with arbitration off vs the bare guard stack.
 
-    A Poisson stream at throttled offered load (~0.8) from a simulated
-    user population, with deadlines, admission shedding, a breaker,
-    and FaultInjector chaos all active — the §4.7 regime the traffic
-    layer exists to exercise.  The experiment is recorded to a trace
-    and replayed; gates:
+    Both run the standard pile-up stream (three compliant tenants at
+    0.8x their fair share, one noisy tenant at 4x) on the same tagged
+    jobs.  The gate: the registry with ``arbiter_enabled=False``
+    against a plain dict of the very same per-tenant controllers
+    (``TenantSpec.make_controller``) — the arbiter machinery must
+    cost < 3% over the guard stack a user would run without it.  The
+    irreducible price of per-tenant isolation itself (that guard dict
+    vs one shared controller) is reported alongside as
+    ``isolation_overhead_pct``, ungated.
 
-    - **replay**: the replay fingerprint (shed decisions + reasons,
-      ``guard.*`` counter deltas, completion order and times) must be
-      bit-identical to the recorded run;
-    - **latency**: p50/p99 turnaround on the *simulated* clock — a
-      deterministic function of the seeds, so the bands are exact
-      across hosts (p50 under 4x mean service, p99 under 20x);
-    - **shed rate**: nonzero (the guard paths actually ran) and under
-      25% (throttled load must not collapse into mass shedding).
+    The true delta is tens of microseconds on a millisecond run, well
+    below this host's steal noise, so the estimator is
+    one-sided-robust: median of per-pair ratios within a block
+    (slow-host episodes hit both halves of a pair and cancel), best of
+    three blocks with freshly constructed drivers and one untimed
+    warm-up pair each (steal spikes and unlucky heap layout only ever
+    inflate a block).  An identical-driver A/A control of this
+    estimator reads 0.99-1.01 here; min/min and single-block medians
+    both swing past 3% on their own.
 
-    ``wall_s`` is the recorded run (generation + simulation),
-    ``ref_wall_s`` the replay pass; only these wall clocks are
-    host-dependent.
+    ``wall_s`` is the fastest arbiter-off run, ``ref_wall_s`` the
+    fastest guard-stack run.  Fairness, containment and incident
+    replay are tier-1's (``tests/test_tenant.py::TestPileupScenario``).
     """
-    from repro.traffic import (
-        AdmissionSpec, ChaosSpec, OpenLoopDriver, PoissonArrivals,
-        UserPopulation, record_experiment, replay_experiment,
-    )
-
-    n_jobs = 400 if smoke else 2000
-    # smoke's short stream never builds a backlog on 8 GPUs; a
-    # 4-GPU machine at the same offered load saturates (and sheds)
-    # within 400 jobs
-    n_gpus = 4 if smoke else 8
-    mean_service = 10.0
-    rate = 0.8 * n_gpus / mean_service  # offered load ~0.8
-    process = PoissonArrivals(rate=rate)
-    population = UserPopulation(
-        n_users=50_000, seed=0, mean_service=mean_service,
-        best_effort_fraction=0.3,
-    )
-    driver = OpenLoopDriver(
-        n_gpus=n_gpus,
-        policy="fcfs",
-        admission=AdmissionSpec(
-            max_queue=3 * n_gpus, protect_priority=2,
-            breaker_failure_threshold=3, breaker_recovery_time=40.0,
-        ),
-        chaos=ChaosSpec(mtbf=300.0, seed=1),
-    )
-
-    with tempfile.TemporaryDirectory(prefix="bench-traffic-") as root:
-        path = Path(root) / "openloop.trace"
-
-        def record():
-            return record_experiment(path, process, population, driver,
-                                     n_jobs=n_jobs)
-
-        (_, recorded), t_record = _timed(record)
-        (replayed, _), t_replay = _timed(lambda: replay_experiment(path))
-
-    p50 = recorded.p50_turnaround
-    p99 = recorded.p99_turnaround
-    shed_rate = recorded.shed_rate
-    if replayed.fingerprint() != recorded.fingerprint():
-        check = "replay fingerprint diverged from the recorded run"
-    elif recorded.result.failures == 0:
-        check = "chaos never fired; case not exercising fault paths"
-    elif not (0.0 < shed_rate < 0.25):
-        check = f"shed rate {shed_rate:.3f} outside (0, 0.25)"
-    elif p50 > 4.0 * mean_service:
-        check = f"p50 turnaround {p50:.1f} > {4.0 * mean_service}"
-    elif p99 > 20.0 * mean_service:
-        check = f"p99 turnaround {p99:.1f} > {20.0 * mean_service}"
-    else:
-        check = "ok"
-    case = _case("traffic_openloop", t_record, t_replay, None, check)
-    case["p50_turnaround"] = round(p50, 6)
-    case["p99_turnaround"] = round(p99, 6)
-    case["p50_wait"] = round(recorded.p50_wait, 6)
-    case["p99_wait"] = round(recorded.p99_wait, 6)
-    case["shed_rate"] = round(shed_rate, 6)
-    case["shed_reasons"] = sorted(
-        {reason for _, reason in recorded.shed_log}
-    )
-    case["failures"] = recorded.result.failures
-    return case
-
-
-def case_multitenant_pileup(smoke: bool) -> Dict:
-    """Noisy-neighbor containment by the tenant layer, end to end.
-
-    The standard pile-up: three compliant tenants each offering 0.8x
-    their fair share, one noisy tenant offering 4x, all on one
-    machine.  Every gated number runs on the *simulated* clock, so the
-    bands are exact across hosts:
-
-    - **fairness**: Jain index over per-tenant delivered service
-      >= 0.9 (equal weights — without the arbiter the noisy stream
-      starves everyone and the index collapses);
-    - **containment**: each compliant tenant's p99 turnaround within
-      3x of its isolated baseline (same jobs, empty machine), and its
-      shed rate within 5 points of isolated;
-    - **replay**: the dumped incident trace must replay with a
-      fingerprint bit-identical to the recorded run
-      (:func:`repro.tenant.verify_incident` replays twice and checks
-      both);
-    - **overhead**: wall-clock tax of the registry with the arbiter
-      disabled, against a plain dict of the very same per-tenant
-      controllers on the identical stream — the arbiter machinery
-      must be nearly free when switched off (gated < 3%).  The
-      irreducible price of per-tenant isolation itself (that guard
-      dict vs one shared controller) is reported alongside as
-      ``isolation_overhead_pct``, ungated.
-
-    ``wall_s`` is the arbitrated pile-up run + incident dump;
-    ``ref_wall_s`` is the replay-verify pass (two replays).
-    """
-    import dataclasses
-
-    from repro.tenant import (
-        jain_index,
-        multitenant_pileup,
-        record_incident,
-        verify_incident,
-    )
+    from repro.tenant import multitenant_pileup
     from repro.traffic.driver import AdmissionSpec, OpenLoopDriver
 
     n_gpus = 8
-    n_jobs = 120 if smoke else 400
     bundle = multitenant_pileup(
-        n_gpus=n_gpus, n_compliant=3, noisy_factor=4.0,
-        n_jobs_per_tenant=n_jobs, seed=0,
-    )
-    compliant = [n for n in sorted(bundle.rates) if n != bundle.noisy]
-
-    def tenancy_driver(tenancy):
-        return OpenLoopDriver(n_gpus=n_gpus, policy="fcfs",
-                              tenancy=tenancy)
-
-    with tempfile.TemporaryDirectory(prefix="bench-tenant-") as root:
-        path = Path(root) / "incident-pileup.trace"
-        (_, report), t_record = _timed(
-            lambda: record_incident(
-                path, bundle.jobs, tenancy_driver(bundle.tenancy),
-                reason="bench",
-            )
-        )
-        replay_problem = None
-        t_replay = 0.0
-        try:
-            _, t_replay = _timed(lambda: verify_incident(path))
-        except AssertionError as exc:
-            replay_problem = str(exc)
-    result = report.result
-    fairness = jain_index(
-        result.tenant_completed_service.get(n, 0.0)
-        for n in sorted(bundle.rates)
-    )
-
-    # isolated baselines: each compliant tenant's own stream on an
-    # empty machine, under the same contract
-    band_problems: List[str] = []
-    p99_shared: Dict[str, float] = {}
-    p99_iso: Dict[str, float] = {}
-    for name in compliant:
-        iso = tenancy_driver(bundle.tenancy).run(
-            list(bundle.jobs_by_tenant[name])
-        ).result
-        p99_iso[name] = iso.tenant_turnaround_percentile(name, 99.0)
-        p99_shared[name] = result.tenant_turnaround_percentile(
-            name, 99.0
-        )
-        if p99_shared[name] > 3.0 * p99_iso[name]:
-            band_problems.append(
-                f"{name} p99 {p99_shared[name]:.2f} > 3x isolated "
-                f"{p99_iso[name]:.2f}"
-            )
-        shed_delta = (result.tenant_shed_rate(name)
-                      - iso.tenant_shed_rate(name))
-        if shed_delta > 0.05:
-            band_problems.append(
-                f"{name} shed rate +{shed_delta:.3f} over isolated"
-            )
-
-    # tenant-layer overhead with arbitration off.  Two comparisons,
-    # both on the identical tagged stream:
-    #
-    # - the **gate**: disabled registry vs a plain dict of the very
-    #   same per-tenant controllers (``TenantSpec.make_controller``)
-    #   — the arbiter machinery must cost < 3% over the guard stack a
-    #   user would run without it;
-    # - the **isolation tax** (informational): that guard dict vs the
-    #   single shared controller — the irreducible price of
-    #   per-tenant isolation, a feature chosen on its own merits.
-    #
-    # Methodology: the true delta is tens of microseconds on a
-    # millisecond run, well below this host's steal noise, so the
-    # estimator is one-sided-robust: back-to-back pairs in
-    # alternating order, median of per-pair ratios within a block
-    # (slow-host episodes hit both halves of a pair and cancel), best
-    # of three blocks with freshly constructed drivers (steal spikes
-    # and unlucky heap layout only ever inflate a block).  An
-    # identical-driver A/A control of this estimator reads 0.99-1.01
-    # here; min/min and single-block medians both swing past 3% on
-    # their own.
-    ab_bundle = multitenant_pileup(
         n_gpus=n_gpus, n_compliant=3, noisy_factor=4.0,
         n_jobs_per_tenant=120, seed=1,
     )
-    disabled = dataclasses.replace(ab_bundle.tenancy,
-                                   arbiter_enabled=False)
-    shared_jobs = list(ab_bundle.jobs)
+    disabled = dataclasses.replace(bundle.tenancy, arbiter_enabled=False)
+    jobs = list(bundle.jobs)
 
     class _GuardStack:
         """Reference baseline: the registry's own per-tenant
@@ -1015,118 +833,66 @@ def case_multitenant_pileup(smoke: bool) -> Dict:
             ),
         )
 
-    def paired_ratio(make_base, make_test, pairs=12):
-        """Median of back-to-back test/base wall ratios, fresh
-        drivers, one warmup run each before timing."""
+    def block(make_test, make_base) -> Samples:
         base, test = make_base(), make_test()
-        base.run(shared_jobs)
-        test.run(shared_jobs)
-        ratios = []
-        for i in range(pairs):
-            if i % 2 == 0:
-                _, tb = _timed(lambda: base.run(shared_jobs))
-                _, tt = _timed(lambda: test.run(shared_jobs))
-            else:
-                _, tt = _timed(lambda: test.run(shared_jobs))
-                _, tb = _timed(lambda: base.run(shared_jobs))
-            ratios.append(tt / tb)
-        ratios.sort()
-        return ratios[len(ratios) // 2]
+        base.run(jobs)
+        test.run(jobs)
+        return measure(lambda: test.run(jobs), lambda: base.run(jobs),
+                       pairs=12)
 
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        overhead = min(
-            paired_ratio(stack_driver, registry_driver)
-            for _ in range(3)
-        ) - 1.0
-        isolation = paired_ratio(single_driver, stack_driver) - 1.0
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-    if replay_problem is not None:
-        check = f"incident replay diverged: {replay_problem[:120]}"
-    elif fairness < 0.9:
-        check = f"jain fairness {fairness:.3f} < 0.9"
-    elif band_problems:
-        check = "; ".join(band_problems)
-    elif overhead > 0.03:
+    blocks = [block(registry_driver, stack_driver) for _ in range(3)]
+    overhead = min(_mid(b.ratios) for b in blocks) - 1.0
+    isolation = _mid(block(stack_driver, single_driver).ratios) - 1.0
+    if overhead > 0.03:
         check = f"arbiter-disabled overhead {overhead * 100:.2f}% > 3%"
     else:
         check = "ok"
-    case = _case("multitenant_pileup", t_record, t_replay, None, check)
-    case["jain_fairness"] = round(fairness, 6)
-    case["noisy_shed_rate"] = round(
-        result.tenant_shed_rate(bundle.noisy), 6
-    )
-    case["compliant_p99"] = {
-        n: round(p99_shared[n], 6) for n in compliant
-    }
-    case["isolated_p99"] = {
-        n: round(p99_iso[n], 6) for n in compliant
-    }
+    case = _case("arbiter_off_overhead",
+                 min(t for b in blocks for t in b.test),
+                 min(t for b in blocks for t in b.base), None, check)
     case["overhead_pct"] = round(overhead * 100, 2)
+    case.update(spread(np.concatenate([b.ratios for b in blocks])))
     case["isolation_overhead_pct"] = round(isolation * 100, 2)
-    case["breaker_trips"] = report.trips
     return case
 
 
-def case_ab_replay(smoke: bool) -> Dict:
-    """Live capture + A/B differential replay, end to end.
+def case_capture_overhead(smoke: bool) -> Dict:
+    """Capture mode's *streaming* tax, gated < 3%.
 
-    Three gates:
+    The uncaptured alternative that produces the same replayable
+    artifact is the ``record_experiment`` shape — write every job
+    frame up front, then run.  The gate compares that (TraceWriter
+    batch write + bare run + seal) against the live tap (identical
+    frames, written from inside the hot loop as jobs are offered,
+    ``decisions=False``).  Per-decision frames are extra *data* the
+    batch path cannot produce at all; their cost is reported ungated
+    as ``decision_frames_overhead_pct``.  (Against a run with *no*
+    trace at all the comparison is meaningless here: serializing a job
+    costs a few µs while the simulator spends a few µs per job *total*
+    — the paper's system amortizes capture against jobs that run for
+    minutes.)
 
-    - **seal**: a live capture must finish complete with the run's
-      fingerprint sealed in the trailer;
-    - **contract**: :func:`repro.traffic.ab_replay` on the captured
-      trace must report ``fingerprint_matched`` (replay-vs-record,
-      bit for bit) and no same-config divergence under a two-variant
-      matrix (sjf policy, half the GPUs);
-    - **overhead**: capture mode's *streaming* tax.  The uncaptured
-      alternative that produces the same replayable artifact is the
-      ``record_experiment`` shape — write every job frame up front,
-      then run.  The gate compares that (TraceWriter batch write +
-      bare run + seal) against the live tap (identical frames,
-      written from inside the hot loop as jobs are offered,
-      ``decisions=False``) and demands < 3%.  Per-decision frames are
-      extra *data* the batch path cannot produce at all; their cost
-      is reported ungated as ``decision_frames_overhead_pct``.
-      (Against a run with *no* trace at all the comparison is
-      meaningless here: serializing a job costs a few µs while the
-      simulator spends a few µs per job *total* — the paper's system
-      amortizes capture against jobs that run for minutes.)
-
-    The overhead estimator is the ``multitenant_pileup`` one: median
-    of back-to-back pair ratios in alternating order, best of three
-    blocks, gc off (the true delta is small enough that min/min or a
-    single block swings past the gate on steal noise alone).
-
-    ``wall_s`` is the captured run (tap on, trailer sealed);
-    ``ref_wall_s`` is the A/B replay pass (baseline twice + two
-    variants).
+    The estimator is ``arbiter_off_overhead``'s with five blocks: a
+    single block's A/A control reads up to +-8% on this host, and the
+    min across blocks is the robust one-sided estimate (noise only
+    ever inflates a block).  ``wall_s`` is the fastest tapped run,
+    ``ref_wall_s`` the fastest batch write-then-run.  That a capture
+    seals its fingerprint and replays to it is tier-1's
+    (``tests/test_traffic.py``'s ``TestCapture`` and ``TestAbReplay``,
+    ``tests/test_replay_contract.py``).
     """
     from repro.traffic import (
-        ABVariant,
         AdmissionSpec,
         CaptureTap,
         ChaosSpec,
         OpenLoopDriver,
         PoissonArrivals,
+        TraceWriter,
         UserPopulation,
-        ab_replay,
-        capture_experiment,
         generate_jobs,
     )
 
     n_gpus = 8
-    n_jobs = 150 if smoke else 500
-    process = PoissonArrivals(rate=0.9)
-
-    def population():
-        return UserPopulation(n_users=20_000, seed=0,
-                              mean_service=10.0,
-                              best_effort_fraction=0.3)
 
     def make_driver():
         return OpenLoopDriver(
@@ -1139,30 +905,14 @@ def case_ab_replay(smoke: bool) -> Dict:
             chaos=ChaosSpec(mtbf=250.0, seed=1),
         )
 
+    # the run is kept at full length even in smoke mode: shorter runs
+    # put pair-ratio noise on the same order as the 3% gate itself
+    population = UserPopulation(n_users=20_000, seed=0, mean_service=10.0,
+                                best_effort_fraction=0.3)
+    jobs = generate_jobs(PoissonArrivals(rate=0.9), population, 300,
+                         arrival_seed=2)
+
     with tempfile.TemporaryDirectory(prefix="bench-ab-") as root:
-        path = Path(root) / "live.trace"
-        (trace, report), t_capture = _timed(
-            lambda: capture_experiment(
-                path, process, population(), make_driver(),
-                n_jobs=n_jobs,
-            )
-        )
-        sealed = (trace.complete
-                  and trace.fingerprint == report.fingerprint())
-        ab, t_ab = _timed(lambda: ab_replay(path, [
-            ABVariant("sjf", {"policy": "sjf"}),
-            ABVariant("half_gpus", {"n_gpus": n_gpus // 2}),
-        ]))
-
-        # streaming tax: batch write-then-run vs live tap, identical
-        # frames and fresh drivers, paired alternating order (see
-        # docstring)
-        from repro.traffic import TraceWriter
-
-        # the overhead run is kept at full length even in smoke mode:
-        # shorter runs put pair-ratio noise on the same order as the
-        # 3% gate itself
-        jobs = generate_jobs(process, population(), 300, arrival_seed=2)
         scratch = Path(root) / "overhead.trace"
 
         def run_batch():
@@ -1186,80 +936,44 @@ def case_ab_replay(smoke: bool) -> Dict:
                 tap.close()
             return report
 
-        def paired_ratio(test, base, pairs=16):
-            base()
+        def block(test) -> Samples:
+            run_batch()
             test()
-            ratios = []
-            for i in range(pairs):
-                if i % 2 == 0:
-                    _, tb = _timed(base)
-                    _, tt = _timed(test)
-                else:
-                    _, tt = _timed(test)
-                    _, tb = _timed(base)
-                ratios.append(tt / tb)
-            ratios.sort()
-            return ratios[len(ratios) // 2]
+            return measure(test, run_batch, pairs=16)
 
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            # five blocks: a single block's A/A control reads up to
-            # +-8% on this host; the min across blocks is the robust
-            # one-sided estimate (noise only ever inflates a block)
-            overhead = min(
-                paired_ratio(run_tapped, run_batch) for _ in range(5)
-            ) - 1.0
-            decision_tax = min(
-                paired_ratio(lambda: run_tapped(True), run_batch)
-                for _ in range(3)
-            ) - 1.0
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-
-    if not sealed:
-        check = "capture did not seal the run fingerprint"
-    elif ab.fingerprint_matched is not True:
-        check = "replay fingerprint does not match the sealed trailer"
-    elif ab.diverged:
-        check = "same-config replay diverged"
-    elif overhead > 0.03:
+        blocks = [block(run_tapped) for _ in range(5)]
+        decision_tax = min(
+            _mid(block(lambda: run_tapped(True)).ratios) for _ in range(3)
+        ) - 1.0
+    overhead = min(_mid(b.ratios) for b in blocks) - 1.0
+    if overhead > 0.03:
         check = f"capture overhead {overhead * 100:.2f}% > 3%"
     else:
         check = "ok"
-    case = _case("ab_replay", t_capture, t_ab, None, check)
-    case["n_jobs"] = len(trace)
-    case["capture_overhead_pct"] = round(overhead * 100, 2)
+    case = _case("capture_overhead",
+                 min(t for b in blocks for t in b.test),
+                 min(t for b in blocks for t in b.base), None, check)
+    case["overhead_pct"] = round(overhead * 100, 2)
+    case.update(spread(np.concatenate([b.ratios for b in blocks])))
     case["decision_frames_overhead_pct"] = round(decision_tax * 100, 2)
-    case["fingerprint_matched"] = ab.fingerprint_matched
-    case["variant_deltas"] = {
-        v["name"]: {
-            "p99_wait": round(v["deltas"]["p99_wait"], 4),
-            "shed_rate": round(v["deltas"]["shed_rate"], 4),
-            "completed": v["deltas"]["completed"],
-        }
-        for v in ab.variants
-    }
     return case
 
 
-CASES: List[Tuple[str, Callable[[bool], Dict]]] = [
-    ("gauss_seidel", case_gauss_seidel),
-    ("md_neighbor", case_md_neighbor),
-    ("md_forces", case_md_forces),
-    ("sched_events", case_sched_events),
-    ("trace_pricing", case_trace_pricing),
-    ("jit_warm_start", case_jit_warm_start),
-    ("guard_overhead", case_guard_overhead),
-    ("par_fanout", case_par_fanout),
-    ("fine_grain_fanout", case_fine_grain_fanout),
-    ("scaling_curve", case_scaling_curve),
-    ("durability_overhead", case_durability_overhead),
-    ("traffic_openloop", case_traffic_openloop),
-    ("multitenant_pileup", case_multitenant_pileup),
-    ("ab_replay", case_ab_replay),
-]
+CASES: Dict[str, Callable[[bool], Dict]] = {
+    "gauss_seidel": case_gauss_seidel,
+    "md_neighbor": case_md_neighbor,
+    "md_forces": case_md_forces,
+    "sched_events": case_sched_events,
+    "trace_pricing": case_trace_pricing,
+    "jit_warm_start": case_jit_warm_start,
+    "guard_overhead": case_guard_overhead,
+    "par_fanout": case_par_fanout,
+    "fine_grain_fanout": case_fine_grain_fanout,
+    "scaling_curve": case_scaling_curve,
+    "durability_overhead": case_durability_overhead,
+    "arbiter_off_overhead": case_arbiter_off_overhead,
+    "capture_overhead": case_capture_overhead,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -1344,20 +1058,19 @@ def compare(report: Dict, baseline: Dict, tolerance: float) -> List[str]:
 def main(argv: Optional[List[str]] = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--smoke", action="store_true",
-                    help="small sizes for CI (< ~1 minute)")
+                    help="small sizes for CI")
     ap.add_argument("--output", type=Path, default=None,
                     help="output JSON path (default: next BENCH_<n>.json)")
     ap.add_argument("--baseline", type=Path, default=None,
                     help="explicit baseline JSON (default: newest BENCH_*)")
-    ap.add_argument("--tolerance", type=float, default=1.5,
-                    help="allowed wall-time ratio vs baseline (default 1.5)")
     ap.add_argument("--only", action="append", default=None,
                     help="run only the named case (repeatable)")
-    ap.add_argument("--par", default="serial",
-                    help="repro.par backend spec for the case runner "
-                         "(default serial: cases time themselves, so "
-                         "parallel case execution adds contention noise)")
     args = ap.parse_args(argv)
+    unknown = [name for name in args.only or () if name not in CASES]
+    if unknown:
+        # a stale name in a CI step would otherwise gate nothing
+        ap.error(f"unknown case(s): {', '.join(unknown)} "
+                 f"(known: {', '.join(CASES)})")
 
     from repro.obs import reset_metrics, snapshot
 
@@ -1367,21 +1080,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     if baseline_path is None:
         baseline_path = _select_baseline(REPO, out_path, mode)
 
-    from repro.par import Task, run_ensemble
-
     reset_metrics()
     cases = []
     failures = []
-    selected = [(name, fn) for name, fn in CASES
-                if not args.only or name in args.only]
-    recs = run_ensemble(
-        [Task(fn, (args.smoke,), name=name) for name, fn in selected],
-        backend=args.par,
-    )
-    for (name, _), rec in zip(selected, recs):
+    for name, fn in CASES.items():
+        if args.only and name not in args.only:
+            continue
+        rec = fn(args.smoke)
         cases.append(rec)
         speed = f"{rec['speedup']}x" if rec["speedup"] else "-"
-        print(f"{name:16s} wall {rec['wall_s']:.4f}s  "
+        print(f"{name:20s} wall {rec['wall_s']:.4f}s  "
               f"ref {rec['ref_wall_s']}s  speedup {speed}  [{rec['check']}]")
         if rec["check"] != "ok":
             failures.append(f"{name}: {rec['check']}")
@@ -1405,7 +1113,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if baseline_path is not None and baseline_path.exists():
         baseline = json.loads(baseline_path.read_text())
-        problems = compare(report, baseline, args.tolerance)
+        problems = compare(report, baseline, TOLERANCE)
         if problems:
             print(f"REGRESSIONS vs {baseline_path.name}:")
             for p in problems:

@@ -28,7 +28,7 @@ its uncommitted step instead.
 """
 
 from repro.durable.campaign import (
-    DEFAULT_COUNTER_PREFIXES,
+    COUNTER_PREFIXES,
     ResumableCampaign,
 )
 from repro.durable.chaos import ChaosReport, run_chaos
@@ -38,7 +38,7 @@ from repro.util.state import state_mismatches
 
 __all__ = [
     "ChaosReport",
-    "DEFAULT_COUNTER_PREFIXES",
+    "COUNTER_PREFIXES",
     "DurableStore",
     "ResumableCampaign",
     "WriteAheadLog",

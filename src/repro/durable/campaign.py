@@ -31,7 +31,7 @@ the run holds.  The driver keeps those fields' lengths and resets
 them at every snapshot and recovery; the store resolves the tails on
 recovery.  A stepper without ``checkpoint_tails`` journals full
 states.  Both carry the observability counters under
-``counter_prefixes`` (campaign/scheduler/guard accounting), so a
+``COUNTER_PREFIXES`` (campaign/scheduler/guard accounting), so a
 resumed process reports the same final metrics an uninterrupted run
 would — counters rewind to the boundary together with the state.
 
@@ -44,7 +44,7 @@ field wrongly declared append-only.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.obs import metrics as _metrics
 from repro.obs import validate as _validate
@@ -52,19 +52,18 @@ from repro.durable.store import DurableStore
 from repro.util.state import resolve_tails, saved_lengths, state_mismatches
 
 #: counter namespaces that ride along with every committed payload
-DEFAULT_COUNTER_PREFIXES = ("workflow.", "sched.", "guard.")
+COUNTER_PREFIXES = ("workflow.", "sched.", "guard.")
 
 
-def _capture_counters(prefixes: Tuple[str, ...]) -> Dict[str, Any]:
+def _capture_counters() -> Dict[str, Any]:
     return {
         name: value
         for name, value in _metrics.snapshot()["counters"].items()
-        if name.startswith(prefixes)
+        if name.startswith(COUNTER_PREFIXES)
     }
 
 
-def _restore_counters(values: Dict[str, Any],
-                      prefixes: Tuple[str, ...]) -> None:
+def _restore_counters(values: Dict[str, Any]) -> None:
     """Rewind tracked counters to exactly the committed values.
 
     Counters under a tracked prefix that exist in the registry but
@@ -73,7 +72,7 @@ def _restore_counters(values: Dict[str, Any],
     """
     live = _metrics.snapshot()["counters"]
     for name in live:
-        if name.startswith(prefixes) and name not in values:
+        if name.startswith(COUNTER_PREFIXES) and name not in values:
             _metrics.counter(name).reset()
     for name, value in values.items():
         c = _metrics.counter(name)
@@ -90,7 +89,6 @@ class ResumableCampaign:
         store: DurableStore,
         cadence: int = 10,
         journal_every: int = 1,
-        counter_prefixes: Iterable[str] = DEFAULT_COUNTER_PREFIXES,
     ):
         if cadence < 1:
             raise ValueError("cadence must be >= 1")
@@ -100,7 +98,6 @@ class ResumableCampaign:
         self.store = store
         self.cadence = cadence
         self.journal_every = journal_every
-        self.counter_prefixes = tuple(counter_prefixes)
         self.steps_committed = 0
         self.recovered_step: Optional[int] = None
         self._last_journaled = -1
@@ -124,8 +121,7 @@ class ResumableCampaign:
             return None
         step, payload = rec
         self.stepper.restore_state(payload["state"])
-        _restore_counters(payload.get("counters", {}),
-                          self.counter_prefixes)
+        _restore_counters(payload.get("counters", {}))
         self.recovered_step = step
         self._last_journaled = step
         self._lengths = saved_lengths(payload["state"])
@@ -186,10 +182,9 @@ class ResumableCampaign:
             raise ValueError(
                 "stepper has no natural termination; pass n_steps"
             )
-        prefixes = self.counter_prefixes
         # a snapshot at entry makes recovery possible from step one,
         # and on resume compacts the replayed journal
-        self._snapshot(stepper.progress, _capture_counters(prefixes))
+        self._snapshot(stepper.progress, _capture_counters())
         self._last_journaled = stepper.progress
         while True:
             if has_done and stepper.done:
@@ -202,7 +197,7 @@ class ResumableCampaign:
             snapshot = (progress % self.cadence == 0
                         and progress > self.store.step)
             if journal or snapshot:
-                counters = _capture_counters(prefixes)
+                counters = _capture_counters()
                 if journal:
                     self._journal(progress, counters)
                 if snapshot:
@@ -212,5 +207,5 @@ class ResumableCampaign:
         # commit the final state even off the journal_every grid, so
         # recovery lands on the true end of the run
         if stepper.progress > self._last_journaled:
-            self._journal(stepper.progress, _capture_counters(prefixes))
+            self._journal(stepper.progress, _capture_counters())
         return stepper.progress

@@ -27,11 +27,15 @@ import signal
 import sys
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import List
 
 import numpy as np
 
-from repro.durable.campaign import ResumableCampaign
+from repro.durable.campaign import (
+    COUNTER_PREFIXES,
+    ResumableCampaign,
+    _capture_counters,
+)
 from repro.durable.store import DurableStore
 from repro.util.state import state_mismatches
 
@@ -58,33 +62,34 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def _default_campaign_kwargs() -> Dict[str, Any]:
+#: bound on incarnations, against a store that never makes progress
+MAX_RESTARTS = 50
+
+
+def _make_campaign(seed: int):
+    from repro.workflow.mummi import MummiCampaign
+
     # explicit serial backend: the chaos child is SIGKILLed, and an
     # explicit backend (argument beats REPRO_PAR) keeps the kill from
     # orphaning a process pool's grandchildren under the CI matrix
-    return {"n_gpus": 8, "jobs_per_cycle": 8, "backend": "serial"}
+    return MummiCampaign(seed=seed, n_gpus=8, jobs_per_cycle=8,
+                         backend="serial")
 
 
-def _make_campaign(seed: int, campaign_kwargs: Optional[Dict[str, Any]]):
-    from repro.workflow.mummi import MummiCampaign
-
-    kwargs = dict(_default_campaign_kwargs())
-    if campaign_kwargs:
-        kwargs.update(campaign_kwargs)
-    return MummiCampaign(seed=seed, **kwargs)
-
-
-def _chaos_child(root, n_cycles, cadence, pace, seed,
-                 campaign_kwargs) -> None:
-    """One child incarnation: recover (if anything is durable), run."""
+def _reset_tracked_counters() -> None:
     from repro.obs import metrics as _metrics
 
+    for prefix in COUNTER_PREFIXES:
+        _metrics.REGISTRY.reset(prefix)
+
+
+def _chaos_child(root, n_cycles, cadence, pace, seed) -> None:
+    """One child incarnation: recover (if anything is durable), run."""
     # fork inherits the parent's counter registry; the tracked
     # namespaces must start from zero (fresh boot) or from the journal
     # (recovery rewinds them), never from inherited parent activity
-    for prefix in ("workflow.", "sched.", "guard."):
-        _metrics.REGISTRY.reset(prefix)
-    campaign = _make_campaign(seed, campaign_kwargs)
+    _reset_tracked_counters()
+    campaign = _make_campaign(seed)
     with DurableStore(root) as store:
         driver = ResumableCampaign(campaign, store, cadence=cadence)
         driver.recover()
@@ -99,37 +104,25 @@ def run_chaos(
     pace: float = 0.02,
     cadence: int = 3,
     store_root=None,
-    campaign_kwargs: Optional[Dict[str, Any]] = None,
-    max_restarts: int = 50,
 ) -> ChaosReport:
     """Run the kill/restart experiment; see the module docstring.
 
     The kill schedule is seeded (``kill_seed``): delays are drawn
     uniformly over the child's expected lifetime, so across the
     configured kills the SIGKILLs sample early, middle, and late
-    journal boundaries.  ``max_restarts`` bounds the loop against a
-    pathological store that never makes progress.
+    journal boundaries.
     """
     import multiprocessing as mp
-
-    from repro.obs import metrics as _metrics
 
     report = ChaosReport()
 
     # --- uninterrupted reference, in-process ---------------------------
-    prefixes = ("workflow.", "sched.", "guard.")
-    _metrics.REGISTRY.reset("workflow.")
-    _metrics.REGISTRY.reset("sched.")
-    _metrics.REGISTRY.reset("guard.")
-    ref = _make_campaign(seed, campaign_kwargs)
+    _reset_tracked_counters()
+    ref = _make_campaign(seed)
     while ref.progress < n_cycles:
         ref.step()
     ref_state = ref.checkpoint_state()
-    ref_counters = {
-        name: value
-        for name, value in _metrics.snapshot()["counters"].items()
-        if name.startswith(prefixes)
-    }
+    ref_counters = _capture_counters()
 
     # --- the chaos loop ------------------------------------------------
     tmp = None
@@ -140,11 +133,10 @@ def run_chaos(
         ctx = mp.get_context("fork")
         rng = np.random.default_rng(kill_seed)
         remaining = n_cycles
-        while report.restarts < max_restarts:
+        while report.restarts < MAX_RESTARTS:
             child = ctx.Process(
                 target=_chaos_child,
-                args=(store_root, n_cycles, cadence, pace, seed,
-                      campaign_kwargs),
+                args=(store_root, n_cycles, cadence, pace, seed),
             )
             child.start()
             report.restarts += 1
@@ -174,7 +166,7 @@ def run_chaos(
             break
         else:
             raise RuntimeError(
-                f"no convergence within {max_restarts} restarts"
+                f"no convergence within {MAX_RESTARTS} restarts"
             )
 
         # --- recover the terminal payload and compare ------------------

@@ -30,6 +30,16 @@ __all__ = ["PileupBundle", "multitenant_pileup"]
 #: owning tenant recoverable from a bare id during triage
 _ID_STRIDE = 1_000_000
 
+#: each compliant tenant's offered load, as a fraction of its fair share
+COMPLIANT_LOAD = 0.8
+#: mean job service time of every tenant's population
+MEAN_SERVICE = 4.0
+#: every tenant's contract: jobs below this priority may be
+#: pressure-shed, and admitted service below this fraction of the fair
+#: share is an SLO breach
+PROTECT_PRIORITY = 1
+GOODPUT_FLOOR = 0.25
+
 
 @dataclass(frozen=True)
 class PileupBundle:
@@ -50,19 +60,15 @@ def multitenant_pileup(
     n_gpus: int = 8,
     n_compliant: int = 3,
     noisy_factor: float = 4.0,
-    compliant_load: float = 0.8,
     n_jobs_per_tenant: int = 300,
-    mean_service: float = 4.0,
     seed: int = 0,
     window: float = 50.0,
-    protect_priority: int = 1,
-    goodput_floor: float = 0.25,
     breaker_failure_threshold: int = 8,
 ) -> PileupBundle:
     """Build the standard one-noisy-neighbor pile-up.
 
     Capacity splits evenly across ``n_compliant + 1`` equal-weight
-    tenants; compliant tenants offer ``compliant_load`` x their fair
+    tenants; compliant tenants offer ``COMPLIANT_LOAD`` x their fair
     share, the noisy tenant offers ``noisy_factor`` x.  Jobs per
     tenant, not duration, bounds the experiment so short CI runs and
     long bench runs share one builder.
@@ -72,27 +78,25 @@ def multitenant_pileup(
     if noisy_factor <= 1.0:
         raise ValueError("noisy_factor must exceed 1 (else nobody "
                          "violates)")
-    if not (0.0 < compliant_load <= 1.0):
-        raise ValueError("compliant_load in (0, 1]")
     n_tenants = n_compliant + 1
     # equal weights: each tenant's fair share of the machine is
     # n_gpus / n_tenants service-seconds per second, i.e. an arrival
     # rate of share / mean_service jobs per second
-    share_rate = n_gpus / (n_tenants * mean_service)
+    share_rate = n_gpus / (n_tenants * MEAN_SERVICE)
     names = [f"tenant{k}" for k in range(n_compliant)]
     noisy = "noisy"
     specs = [
         TenantSpec(
             name=name,
             weight=1.0,
-            protect_priority=protect_priority,
-            goodput_floor=goodput_floor,
+            protect_priority=PROTECT_PRIORITY,
+            goodput_floor=GOODPUT_FLOOR,
             breaker_failure_threshold=breaker_failure_threshold,
         )
         for name in names + [noisy]
     ]
     tenancy = TenancySpec(tenants=tuple(specs), window=window)
-    rates = {name: compliant_load * share_rate for name in names}
+    rates = {name: COMPLIANT_LOAD * share_rate for name in names}
     rates[noisy] = noisy_factor * share_rate
     jobs_by_tenant: Dict[str, Tuple[Job, ...]] = {}
     for idx, name in enumerate(names + [noisy]):
@@ -100,7 +104,7 @@ def multitenant_pileup(
         population = UserPopulation(
             n_users=10_000,
             seed=tenant_seed,
-            mean_service=mean_service,
+            mean_service=MEAN_SERVICE,
             tenant=name,
         )
         arrivals = PoissonArrivals(rates[name]).sample(

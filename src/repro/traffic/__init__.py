@@ -43,7 +43,6 @@ from repro.traffic.driver import (
     generate_jobs,
     record_experiment,
     replay,
-    replay_experiment,
     verify,
     verify_replay,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "generate_jobs",
     "record_experiment",
     "replay",
-    "replay_experiment",
     "Verdict",
     "verify",
     "verify_replay",

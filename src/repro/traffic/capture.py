@@ -25,7 +25,8 @@ configurations.  This module closes that gap:
 The captured job sequence is the *offered* sequence in offer order:
 re-queued retry copies are session-internal (they are deterministic
 replays of the chaos spec) and are not re-recorded, so a captured
-trace replays through the normal :func:`replay_experiment` path.
+trace replays through the normal :func:`~repro.traffic.driver.replay`
+path.
 """
 
 from __future__ import annotations

@@ -368,7 +368,7 @@ def record_experiment(
 
     The trace header carries the full experiment description — arrival
     process, population, driver (admission + chaos + policy), seeds —
-    so :func:`replay_experiment` needs nothing but the file.  The
+    so :func:`replay` needs nothing but the loaded file.  The
     trailer is sealed with the run's fingerprint *after* the run
     completes: a replay can then be checked against the original run
     (not just against another replay), and an aborted run leaves an
@@ -452,16 +452,6 @@ def verify(trace: TrafficTrace) -> Verdict:
         fingerprint == replay(trace).fingerprint(),
         None if recorded is None else fingerprint == recorded,
     )
-
-
-def replay_experiment(
-    path: Union[str, Path],
-) -> Tuple[TrafficReport, TrafficTrace]:
-    """Rebuild the driver from the trace header and re-run the jobs."""
-    trace = TrafficTrace.load(path)
-    report = replay(trace)
-    _metrics.counter("traffic.experiments_replayed").add()
-    return report, trace
 
 
 def verify_replay(path: Union[str, Path]) -> TrafficReport:

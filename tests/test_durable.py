@@ -494,6 +494,35 @@ class TestResumableCampaign:
         assert metrics_mod.counter("workflow.cycles").value == committed
         assert metrics_mod.counter("workflow.bogus_after_crash").value == 0
 
+    @pytest.mark.parametrize("n", [1500, 4000])
+    def test_journaling_never_perturbs_ddcmd(self, tmp_path, n):
+        """A ddcMD ensemble member journaled every 8 of 24 steps,
+        flushed but not fsynced, follows the bare run's trajectory
+        bit for bit, and the store recovers its final state."""
+        from repro.md.ddcmd import DdcMD
+        from repro.md.particles import ParticleSystem, PeriodicBox
+        from repro.md.potentials import LennardJones, PairProcessor
+
+        def make_md():
+            side = (n / 0.5) ** (1.0 / 3.0)
+            system = ParticleSystem.random_gas(
+                n, PeriodicBox([side, side, side]), seed=11
+            )
+            return DdcMD(system, PairProcessor(LennardJones(cutoff=2.5)))
+
+        bare = make_md()
+        while bare.progress < 24:
+            bare.step()
+        md = make_md()
+        with DurableStore(tmp_path, sync=False) as store:
+            ResumableCampaign(md, store, cadence=24, journal_every=8).run(24)
+        assert np.array_equal(md.system.x, bare.system.x)
+        assert np.array_equal(md.system.v, bare.system.v)
+        with DurableStore(tmp_path) as store:
+            step, payload = store.recover()
+        assert step == 24
+        assert state_mismatches(payload["state"], md.checkpoint_state()) == []
+
     def test_run_requires_termination(self, tmp_path):
         class Stepper:
             progress = 0

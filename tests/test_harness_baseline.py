@@ -1,17 +1,19 @@
-"""Baseline selection and comparison logic of benchmarks/harness.py.
+"""The sampler, case selection and baseline logic of benchmarks/harness.py.
 
-The bug these pin down: with BENCH_2.json and BENCH_10.json on disk,
-the pre-fix harness could compare a fresh run against the wrong file —
-lexicographic name ordering puts BENCH_10 before BENCH_2, and a
-baseline of the wrong mode (smoke vs full) silently disabled the gate
-entirely.  Baseline choice must be *numeric-newest among same-mode
-reports*, exercised here with fake report files.
+The baseline bug these pin down: with BENCH_2.json and BENCH_10.json
+on disk, the pre-fix harness could compare a fresh run against the
+wrong file — lexicographic name ordering puts BENCH_10 before BENCH_2,
+and a baseline of the wrong mode (smoke vs full) silently disabled the
+gate entirely.  Baseline choice must be *numeric-newest among
+same-mode reports*, exercised here with fake report files.
 """
 
+import gc
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
@@ -164,3 +166,63 @@ class TestEndToEndSelection:
             "cases": [{"name": "case_a", "wall_s": 0.2}],
         }
         assert harness.compare(slowed, baseline, 1.5)
+
+
+class TestMeasure:
+    def test_sides_alternate_base_first(self):
+        calls = []
+
+        def side(name):
+            def run():
+                calls.append(name)
+                return calls.count(name)
+            return run
+
+        s = harness.measure(side("test"), side("base"), pairs=4)
+        assert calls == ["base", "test", "test", "base",
+                         "base", "test", "test", "base"]
+        assert len(s.test) == len(s.base) == 4
+        assert (s.out, s.base_out) == (4, 4)
+        assert s.ratios.shape == (4,)
+
+    def test_without_base_samples_test_alone(self):
+        s = harness.measure(lambda: "x", pairs=3)
+        assert len(s.test) == 3 and s.base == []
+        assert (s.out, s.base_out) == ("x", None)
+
+    def test_gc_restored_when_the_timed_call_raises(self):
+        seen = []
+
+        def boom():
+            seen.append(gc.isenabled())
+            raise RuntimeError("boom")
+
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError):
+            harness.measure(boom, pairs=2)
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("n,k", [(12, 2), (36, 12), (80, 31)])
+    def test_spread_interval_indices(self, n, k):
+        """k = floor(n/2 - 0.98 sqrt(n)) on the sorted ratios."""
+        ratios = np.random.default_rng(n).permutation(
+            1.0 + np.arange(n) / 1000
+        )
+        got = harness.spread(ratios)
+        assert got["interval_pct"] == [k / 10, (n - 1 - k) / 10]
+        assert got["median_pct"] == round((n - 1) / 20, 2)
+
+
+class TestMain:
+    def test_unknown_case_exits_2_naming_each(self, tmp_path, capsys):
+        """A stale case name in a CI step must fail, not gate nothing."""
+        out = tmp_path / "bench.json"
+        with pytest.raises(SystemExit) as exc:
+            harness.main(["--smoke", "--only", "no_such_case",
+                          "--only", "gauss_seidel", "--only", "also_gone",
+                          "--output", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown case(s): no_such_case, also_gone" in err
+        assert not out.exists()

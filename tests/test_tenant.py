@@ -915,10 +915,22 @@ class TestPileupScenario:
             v for k, v in bundle.rates.items() if k != bundle.noisy
         )
 
-    def test_arbiter_contains_noisy_neighbor(self):
-        bundle = multitenant_pileup(n_gpus=4, n_jobs_per_tenant=150,
-                                    seed=1)
-        result = _pileup_driver(bundle).run(bundle.jobs).result
+    @pytest.mark.parametrize("n_gpus,n_jobs,seed", [
+        (4, 150, 1), (8, 120, 0), (8, 400, 0),
+    ], ids=["4gpus-150jobs-seed1", "8gpus-120jobs-seed0",
+            "8gpus-400jobs-seed0"])
+    def test_arbiter_contains_noisy_neighbor(self, tmp_path, n_gpus,
+                                             n_jobs, seed):
+        """The standard pile-up (three compliant tenants at 0.8x their
+        fair share, one noisy tenant at 4x), on the simulated clock."""
+        bundle = multitenant_pileup(n_gpus=n_gpus,
+                                    n_jobs_per_tenant=n_jobs, seed=seed)
+        path = tmp_path / "incident-pileup.trace"
+        _, report = record_incident(
+            path, bundle.jobs, _pileup_driver(bundle, n_gpus=n_gpus),
+            reason="test",
+        )
+        result = report.result
         compliant = [n for n in bundle.rates if n != bundle.noisy]
         # the noisy tenant absorbs the overload it created
         noisy_rate = result.tenant_shed_rate(bundle.noisy)
@@ -930,6 +942,18 @@ class TestPileupScenario:
             for n in sorted(bundle.rates)
         )
         assert fairness >= 0.9
+        # containment: each compliant tenant fares nearly as well as
+        # its own stream on an empty machine under the same contract
+        for name in compliant:
+            iso = _pileup_driver(bundle, n_gpus=n_gpus).run(
+                list(bundle.jobs_by_tenant[name])
+            ).result
+            assert (result.tenant_turnaround_percentile(name, 99.0)
+                    <= 3.0 * iso.tenant_turnaround_percentile(name, 99.0))
+            assert (result.tenant_shed_rate(name)
+                    - iso.tenant_shed_rate(name)) <= 0.05
+        # the incident dump replays bit-identically
+        assert verify_incident(path).fingerprint() == report.fingerprint()
 
 
 # ---------------------------------------------------------------------------

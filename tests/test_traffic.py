@@ -34,7 +34,7 @@ from repro.traffic import (
     generate_jobs,
     process_from_description,
     record_experiment,
-    replay_experiment,
+    replay,
     verify_replay,
 )
 
@@ -850,8 +850,9 @@ class TestReplayDeterminism:
         assert recorded.shed_log, "admission never shed"
         assert recorded.guard_counters, "no guard.* counters moved"
 
-        first, loaded = replay_experiment(path)
-        second, _ = replay_experiment(path)
+        loaded = TrafficTrace.load(path)
+        first = replay(loaded)
+        second = replay(TrafficTrace.load(path))
 
         assert loaded.same_jobs(trace)
         for replayed in (first, second):
@@ -862,6 +863,41 @@ class TestReplayDeterminism:
             assert fp == ref
         assert [j for _, j in first.result.completions] == \
             first.result.completion_order
+
+    @pytest.mark.parametrize("n_jobs,n_gpus", [(400, 4), (2000, 8)],
+                             ids=["400jobs-4gpus", "2000jobs-8gpus"])
+    def test_openloop_stays_in_its_bands(self, tmp_path, n_jobs, n_gpus):
+        """Offered load ~0.8 from a simulated population, with
+        deadlines, admission shedding, a breaker and chaos all active:
+        the replay reproduces the run, the injector fires, the guard
+        sheds but under 25% of jobs, and p50/p99 turnaround stay
+        under 4x/20x the mean service.  Every number is on the
+        simulated clock, so the bands are exact across hosts.  (At
+        400 jobs a 4-GPU machine builds a backlog; 8 GPUs would not.)
+        """
+        mean_service = 10.0
+        population = UserPopulation(n_users=50_000, seed=0,
+                                    mean_service=mean_service,
+                                    best_effort_fraction=0.3)
+        driver = OpenLoopDriver(
+            n_gpus=n_gpus, policy="fcfs",
+            admission=AdmissionSpec(
+                max_queue=3 * n_gpus, protect_priority=2,
+                breaker_failure_threshold=3, breaker_recovery_time=40.0,
+            ),
+            chaos=ChaosSpec(mtbf=300.0, seed=1),
+        )
+        path = tmp_path / "openloop.trace"
+        _, recorded = record_experiment(
+            path, PoissonArrivals(rate=0.8 * n_gpus / mean_service),
+            population, driver, n_jobs=n_jobs,
+        )
+        replayed = replay(TrafficTrace.load(path))
+        assert replayed.fingerprint() == recorded.fingerprint()
+        assert recorded.result.failures > 0, "chaos never fired"
+        assert 0.0 < recorded.shed_rate < 0.25
+        assert recorded.p50_turnaround <= 4.0 * mean_service
+        assert recorded.p99_turnaround <= 20.0 * mean_service
 
     def test_verify_replay_helper(self, tmp_path):
         path = tmp_path / "v.trace"
