@@ -18,25 +18,19 @@ extra performance.
   code generation with coefficients baked as literals, compilation
   through the mini-NVRTC JIT, and accuracy verification against the
   reference math library.
-- :mod:`repro.cardioid.diffusion` — the 7-point variable-coefficient
-  diffusion stencil (unique conductivity tensor entries per point).
-- :mod:`repro.cardioid.simulation` — operator-split monodomain
-  simulation plus the CPU/GPU placement decision model (the §4.1
-  lesson: data-transfer cost made "all on the GPU" win even where the
-  CPU kernel was competitive).
+- :mod:`repro.cardioid.simulation` — the CPU/GPU placement decision
+  model of a simulation step (the §4.1 lesson: data-transfer cost made
+  "all on the GPU" win even where the CPU kernel was competitive).
 """
 
 from repro.cardioid.ionmodels import HodgkinHuxleyModel, RATE_FUNCTIONS
 from repro.cardioid.dsl import RationalFit, ReactionKernelGenerator
-from repro.cardioid.diffusion import VariableCoefficientDiffusion
-from repro.cardioid.simulation import MonodomainSimulation, placement_decision
+from repro.cardioid.simulation import placement_decision
 
 __all__ = [
     "HodgkinHuxleyModel",
     "RATE_FUNCTIONS",
     "RationalFit",
     "ReactionKernelGenerator",
-    "VariableCoefficientDiffusion",
-    "MonodomainSimulation",
     "placement_decision",
 ]

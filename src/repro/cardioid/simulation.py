@@ -1,8 +1,6 @@
-"""Operator-split monodomain simulation and the CPU/GPU placement model.
+"""The CPU/GPU placement model of a monodomain simulation step.
 
-Combines the reaction model and the diffusion stencil with first-order
-operator splitting (standard cardiac practice at these step sizes), and
-implements §4.1's placement lesson as an explicit decision function:
+Implements §4.1's placement lesson as an explicit decision function:
 even when the CPU diffusion kernel is competitive with the GPU one,
 moving the voltage field across the link every timestep costs more
 than the kernel-time difference — so everything runs on the GPU.
@@ -10,17 +8,11 @@ than the kernel-time difference — so everything runs on the GPU.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
-import numpy as np
-
-from repro.core.forall import ExecutionContext
-from repro.core.kernels import KernelSpec, KernelTrace, TransferSpec
+from repro.core.kernels import KernelSpec
 from repro.core.machine import Machine
 from repro.core.roofline import RooflineModel
-from repro.cardioid.diffusion import VariableCoefficientDiffusion
-from repro.cardioid.ionmodels import C_M, HodgkinHuxleyModel, RateFn
 
 
 def placement_decision(
@@ -57,85 +49,3 @@ def placement_decision(
         "transfer_per_step": t_transfer,
         "winner": "all_gpu" if all_gpu <= split else "cpu_diffusion",
     }
-
-
-@dataclass
-class MonodomainSimulation:
-    """Reaction-diffusion simulation on a 3D tissue block.
-
-    Parameters
-    ----------
-    shape:
-        Tissue grid (nx, ny, nz).
-    sigma:
-        Conductivity field (defaults to mild heterogeneity around 1).
-    dt:
-        Time step (ms); reaction and diffusion share it (first-order
-        splitting).
-    rates:
-        Optional DSL-generated rate kernel for the reaction step.
-    ctx:
-        Execution context for kernel tracing.
-    """
-
-    shape: Tuple[int, int, int]
-    sigma: Optional[np.ndarray] = None
-    dt: float = 0.02
-    rates: Optional[RateFn] = None
-    ctx: Optional[ExecutionContext] = None
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        nx, ny, nz = self.shape
-        n = nx * ny * nz
-        if n < 1:
-            raise ValueError("empty tissue block")
-        if self.sigma is None:
-            rng = np.random.default_rng(self.seed)
-            self.sigma = 1.0 + 0.2 * rng.random(self.shape)
-        self.diffusion = VariableCoefficientDiffusion(self.sigma, ctx=self.ctx)
-        self.membrane = HodgkinHuxleyModel(n, rates=self.rates)
-        self.t = 0.0
-        self.steps_taken = 0
-
-    @property
-    def n_points(self) -> int:
-        return int(np.prod(self.shape))
-
-    def stimulate_region(self, region: Tuple[slice, slice, slice],
-                         current: float) -> np.ndarray:
-        """Build a stimulus field with *current* inside *region*."""
-        stim = np.zeros(self.shape)
-        stim[region] = current
-        return stim.ravel()
-
-    def step(self, i_stim: Optional[np.ndarray] = None) -> None:
-        # reaction half (records its compute-bound kernel)
-        self.membrane.step_reaction(self.dt, i_stim=i_stim)
-        if self.ctx is not None:
-            n = self.n_points
-            self.ctx.trace.record_kernel(KernelSpec(
-                name="cardioid-reaction",
-                flops=250.0 * n,  # 100-500 math-function calls per cell
-                bytes_read=8.0 * 4 * n, bytes_written=8.0 * 4 * n,
-                compute_efficiency=0.55, bandwidth_efficiency=0.7,
-            ))
-        # diffusion half
-        v = self.membrane.v.reshape(self.shape)
-        dv = self.diffusion.apply(v)
-        self.membrane.v = (v + self.dt * dv / C_M).ravel()
-        self.t += self.dt
-        self.steps_taken += 1
-
-    def run(self, n_steps: int, i_stim: Optional[np.ndarray] = None,
-            stim_steps: int = 0) -> None:
-        if n_steps < 0:
-            raise ValueError("n_steps must be >= 0")
-        for k in range(n_steps):
-            self.step(i_stim if k < stim_steps else None)
-
-    def activated_fraction(self, threshold: float = 0.0) -> float:
-        """Fraction of tissue depolarized above *threshold* mV."""
-        return float((self.membrane.v > threshold).mean())

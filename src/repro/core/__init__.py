@@ -23,7 +23,6 @@ paper used and the vendor programming models it evaluated:
 """
 
 from repro.core.kernels import KernelSpec, TransferSpec, KernelTrace
-from repro.core.traceopt import TraceOptimizer, TraceOptStats, fusible
 from repro.core.machine import (
     MACHINES,
     CpuSpec,
@@ -42,9 +41,6 @@ __all__ = [
     "KernelSpec",
     "TransferSpec",
     "KernelTrace",
-    "TraceOptimizer",
-    "TraceOptStats",
-    "fusible",
     "MACHINES",
     "CpuSpec",
     "GpuSpec",

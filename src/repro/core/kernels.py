@@ -15,7 +15,7 @@ executing the proxy code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 
 @dataclass(frozen=True)
@@ -104,34 +104,6 @@ class KernelSpec:
         if total == 0:
             return float("inf")
         return self.flops / total
-
-    def fused(self, other: "KernelSpec", name: Optional[str] = None) -> "KernelSpec":
-        """Merge two kernels into one launch (the paper's loop-fusion story).
-
-        Fusion keeps the flops of both kernels but removes the
-        intermediate store/load traffic between them: data written by
-        ``self`` and immediately read by ``other`` stays in registers /
-        cache.  We model this by dropping ``self``'s writes and an equal
-        amount of ``other``'s reads (bounded below at zero).
-        """
-        if self.launches != other.launches:
-            raise ValueError("can only fuse kernels with equal launch counts")
-        if self.precision != other.precision:
-            raise ValueError("can only fuse kernels of equal precision")
-        saved = min(self.bytes_written, other.bytes_read)
-        return KernelSpec(
-            name=name or f"{self.name}+{other.name}",
-            flops=self.flops + other.flops,
-            bytes_read=self.bytes_read + other.bytes_read - saved,
-            bytes_written=self.bytes_written - saved + other.bytes_written,
-            launches=self.launches,
-            precision=self.precision,
-            compute_efficiency=min(self.compute_efficiency, other.compute_efficiency),
-            bandwidth_efficiency=min(
-                self.bandwidth_efficiency, other.bandwidth_efficiency
-            ),
-            uses_shared_memory=self.uses_shared_memory or other.uses_shared_memory,
-        )
 
     def scaled(self, factor: float) -> "KernelSpec":
         """Return a copy with work scaled by *factor* (problem resizing)."""

@@ -31,18 +31,15 @@ from repro.durable.campaign import (
     COUNTER_PREFIXES,
     ResumableCampaign,
 )
-from repro.durable.chaos import ChaosReport, run_chaos
 from repro.durable.store import DurableStore
 from repro.durable.wal import WriteAheadLog, read_records
 from repro.util.state import state_mismatches
 
 __all__ = [
-    "ChaosReport",
     "COUNTER_PREFIXES",
     "DurableStore",
     "ResumableCampaign",
     "WriteAheadLog",
     "read_records",
-    "run_chaos",
     "state_mismatches",
 ]

@@ -16,14 +16,13 @@ of each of the rate calculations".
   as the paper notes ("each type posed a different parallelization
   issue").
 - :mod:`repro.kinetics.ratematrix` — rate-matrix assembly, steady-
-  state population solves, Boltzmann-limit validation, and opacity
-  spectra.
-- :mod:`repro.kinetics.minikin` — the mini-app: batched multi-zone
-  population solves with the two threading strategies (CPU
-  thread-per-zone with private-memory pressure vs GPU
-  thread-per-transition needing one zone resident), direct (cuSOLVER
-  proxy) and iterative (custom cuSPARSE-GMRES proxy) solvers, and the
-  node-throughput model that reproduces the 5.75X headline.
+  state population solves (dense LU, the cuSOLVER proxy) and
+  Boltzmann-limit validation.
+- :mod:`repro.kinetics.minikin` — the mini-app: per-zone population
+  solves and the node-throughput model of the two threading
+  strategies (CPU thread-per-zone with private-memory pressure vs GPU
+  thread-per-transition needing one zone resident) that reproduces
+  the 5.75X headline.
 """
 
 from repro.kinetics.atomicmodel import MODEL_SIZES, AtomicModel, make_model
@@ -35,15 +34,9 @@ from repro.kinetics.rates import (
 from repro.kinetics.ratematrix import (
     assemble_rate_matrix,
     boltzmann_populations,
-    opacity_spectrum,
     steady_state_populations,
 )
-from repro.kinetics.minikin import (
-    Minikin,
-    Zone,
-    node_throughput,
-    sweep_conditions,
-)
+from repro.kinetics.minikin import Minikin, Zone, node_throughput
 
 __all__ = [
     "AtomicModel",
@@ -55,9 +48,7 @@ __all__ = [
     "assemble_rate_matrix",
     "steady_state_populations",
     "boltzmann_populations",
-    "opacity_spectrum",
     "Minikin",
     "Zone",
     "node_throughput",
-    "sweep_conditions",
 ]

@@ -1,4 +1,4 @@
-"""minikin: batched multi-zone kinetics with two threading strategies.
+"""minikin: multi-zone kinetics with two threading strategies.
 
 The mini-app solves populations for many hydrodynamic zones (each with
 its own temperature/density).  The paper's two strategies (§4.3):
@@ -21,20 +21,18 @@ EXPERIMENTS.md records their provenance and the resulting 5.75X check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict
 
 import numpy as np
 
 from repro.core.machine import Machine
-from repro.core.memory import AllocationError, MemorySpace, ResourceManager
+from repro.core.memory import AllocationError
 from repro.kinetics.atomicmodel import AtomicModel
 from repro.kinetics.ratematrix import (
     assemble_rate_matrix,
-    opacity_spectrum,
     steady_state_populations,
 )
 from repro.kinetics.rates import rate_kernel_flops
-from repro.par import Backend, SharedArray, ShmStage, get_backend, map_fanout
 
 #: frequency bins in the opacity workspace (drives per-zone memory)
 N_FREQ_BINS = 7000
@@ -75,110 +73,17 @@ def zone_flops(model: AtomicModel, n_freq_bins: int = N_FREQ_BINS) -> float:
     return rate_kernel_flops(model) + lu + opacity
 
 
-def _solve_zone_task(args):
-    """One zone's population solve (pure — the fan-out unit).
-
-    The model's arrays arrive as :class:`SharedArray` handles, so a
-    process fan-out maps the oscillator-strength matrix once instead
-    of pickling it per chunk.
-    """
-    name, se, sg, sf, t_e, n_e, solver, include_radiative = args
-    model = AtomicModel(name, se.asarray(), sg.asarray(), sf.asarray())
-    r = assemble_rate_matrix(model, t_e, n_e,
-                             include_radiative=include_radiative)
-    return steady_state_populations(r, solver=solver)
-
-
-def _share_model(model: AtomicModel, stage: ShmStage
-                 ) -> Tuple[SharedArray, SharedArray, SharedArray]:
-    return (
-        stage.share(model.energies),
-        stage.share(model.degeneracies),
-        stage.share(model.oscillator_strengths),
-    )
-
-
 class Minikin:
-    """Multi-zone population/opacity solver (the real computation).
+    """Per-zone population solver (the real computation)."""
 
-    ``resources`` optionally enforces a device-capacity limit — used by
-    tests to show the GPU strategy fits where thread-per-zone cannot.
-    """
-
-    def __init__(self, model: AtomicModel,
-                 resources: Optional[ResourceManager] = None):
+    def __init__(self, model: AtomicModel):
         self.model = model
-        self.resources = resources
 
-    def solve_zone(self, zone: Zone, solver: str = "direct",
+    def solve_zone(self, zone: Zone,
                    include_radiative: bool = True) -> np.ndarray:
         r = assemble_rate_matrix(self.model, zone.t_e, zone.n_e,
                                  include_radiative=include_radiative)
-        return steady_state_populations(r, solver=solver)
-
-    def solve_zones(self, zones: List[Zone], solver: str = "direct",
-                    backend: Union[None, str, Backend] = None,
-                    ) -> np.ndarray:
-        """Populations for every zone, shape (n_zones, n_levels).
-
-        The working-set allocation (the GPU threading strategy's
-        memory profile) stays in the parent; the per-zone solves —
-        independent by construction — fan out over *backend* with
-        bit-identical populations on every backend.
-        """
-        if not zones:
-            raise ValueError("no zones given")
-        workspace = None
-        if self.resources is not None:
-            workspace = self.resources.allocate(
-                (self.model.n_levels, self.model.n_levels),
-                space=MemorySpace.DEVICE, name="zone-workspace",
-            )
-        be = get_backend(backend)
-        try:
-            with ShmStage(be.kind) as stage:
-                se, sg, sf = _share_model(self.model, stage)
-                pops = map_fanout(
-                    _solve_zone_task,
-                    [(self.model.name, se, sg, sf, z.t_e, z.n_e, solver,
-                      True) for z in zones],
-                    backend=be,
-                )
-        finally:
-            if workspace is not None:
-                workspace.free()
-        return np.stack(pops)
-
-    def opacities(self, zones: List[Zone], freqs: np.ndarray,
-                  solver: str = "direct",
-                  backend: Union[None, str, Backend] = None) -> np.ndarray:
-        pops = self.solve_zones(zones, solver=solver, backend=backend)
-        return np.stack(
-            [opacity_spectrum(self.model, p, freqs) for p in pops]
-        )
-
-
-def sweep_conditions(
-    model: AtomicModel,
-    t_e_values: Sequence[float],
-    n_e_values: Sequence[float],
-    solver: str = "direct",
-    backend: Union[None, str, Backend] = None,
-) -> np.ndarray:
-    """Populations over the Cartesian (T_e, n_e) condition grid.
-
-    The design-sweep pattern of the paper's workload: one independent
-    zone solve per grid point, fanned out over *backend*.  Returns an
-    array of shape ``(len(t_e_values), len(n_e_values), n_levels)``
-    that is bit-exact across backends.
-    """
-    t_e_values = list(t_e_values)
-    n_e_values = list(n_e_values)
-    if not t_e_values or not n_e_values:
-        raise ValueError("empty sweep grid")
-    zones = [Zone(t_e=t, n_e=n) for t in t_e_values for n in n_e_values]
-    pops = Minikin(model).solve_zones(zones, solver=solver, backend=backend)
-    return pops.reshape(len(t_e_values), len(n_e_values), model.n_levels)
+        return steady_state_populations(r)
 
 
 def cpu_usable_threads(machine: Machine, model: AtomicModel,

@@ -1,16 +1,13 @@
-"""Rate-matrix assembly, population solves, and opacities.
+"""Rate-matrix assembly and population solves.
 
 The rate matrix R collects all transition rates; populations evolve as
 ``dn/dt = R n`` with columns summing to zero (conservation).  The
 steady state solves ``R n = 0`` with the normalization ``sum(n) = 1``
 replacing one (redundant) row — the standard non-LTE kinetics
-formulation.  The result feeds :func:`opacity_spectrum`, the
-frequency-dependent opacity Cretin hands to radiation transport.
+formulation.
 """
 
 from __future__ import annotations
-
-from typing import Optional, Tuple
 
 import numpy as np
 
@@ -42,17 +39,8 @@ def assemble_rate_matrix(
     return r
 
 
-def steady_state_populations(
-    rate_matrix: np.ndarray,
-    solver: str = "direct",
-    tol: float = 1e-12,
-) -> np.ndarray:
-    """Solve R n = 0, sum(n) = 1.
-
-    ``solver="direct"`` uses dense LU (the cuSOLVER path);
-    ``solver="iterative"`` uses our GMRES with Jacobi preconditioning
-    (the custom cuSPARSE path, §4.3).
-    """
+def steady_state_populations(rate_matrix: np.ndarray) -> np.ndarray:
+    """Solve R n = 0, sum(n) = 1 by dense LU (the cuSOLVER path)."""
     n = rate_matrix.shape[0]
     if rate_matrix.shape != (n, n):
         raise ValueError("rate matrix must be square")
@@ -60,24 +48,7 @@ def steady_state_populations(
     a[-1, :] = 1.0  # replace the redundant equation with normalization
     b = np.zeros(n)
     b[-1] = 1.0
-    if solver == "direct":
-        pops = np.linalg.solve(a, b)
-    elif solver == "iterative":
-        from repro.solvers.krylov import gmres
-
-        diag = np.diag(a).copy()
-        diag[diag == 0] = 1.0
-        x, info = gmres(
-            lambda v: a @ v, b, preconditioner=lambda r: r / diag,
-            tol=tol, restart=min(n, 80), max_iter=40 * n,
-        )
-        if not info.converged:
-            raise RuntimeError(
-                f"iterative population solve failed: reduction {info.reduction:.2e}"
-            )
-        pops = x
-    else:
-        raise ValueError("solver must be 'direct' or 'iterative'")
+    pops = np.linalg.solve(a, b)
     # clean tiny negatives from roundoff and renormalize
     pops = np.maximum(pops, 0.0)
     total = pops.sum()
@@ -110,30 +81,3 @@ def evolve_populations(
     for _ in range(n_steps):
         n = lu_inv @ n
     return n
-
-
-def opacity_spectrum(
-    model: AtomicModel,
-    populations: np.ndarray,
-    freqs: np.ndarray,
-    line_width: float = 0.005,
-) -> np.ndarray:
-    """Bound-bound opacity: population-weighted Gaussian line profiles.
-
-    kappa(nu) = sum over transitions (i<j) of
-    n_i * f_ij * exp(-((nu - dE_ij)/w)^2).
-    """
-    if populations.shape[0] != model.n_levels:
-        raise ValueError("population vector length mismatch")
-    if line_width <= 0:
-        raise ValueError("line width must be positive")
-    iu, ju = np.triu_indices(model.n_levels, k=1)
-    f = model.oscillator_strengths[iu, ju]
-    mask = f > 0
-    centers = (model.energies[ju] - model.energies[iu])[mask]
-    weights = (populations[iu] * f)[mask]
-    freqs = np.asarray(freqs, dtype=np.float64)
-    prof = np.exp(
-        -(((freqs[:, None] - centers[None, :]) / line_width) ** 2)
-    )
-    return prof @ weights

@@ -143,27 +143,6 @@ class MartiniLJ:
         return e_shifted, f_over_r_shifted
 
 
-def _pair_block_task(args):
-    """Worker: fused evaluation of one contiguous pair-list block.
-
-    Receives positions and index arrays as :class:`SharedArray`
-    handles (zero-copy attach under process backends) plus the
-    ``[lo, hi)`` block bounds; rebuilding the particle system from the
-    shared positions is bit-exact because ``PeriodicBox.wrap`` is
-    idempotent on already-wrapped coordinates.
-    """
-    pot, lengths, sx, spi, spj, lo, hi = args
-    from repro.md.particles import ParticleSystem, PeriodicBox
-
-    x = sx.asarray()
-    pairs_i = np.ascontiguousarray(spi.asarray()[lo:hi])
-    pairs_j = np.ascontiguousarray(spj.asarray()[lo:hi])
-    system = ParticleSystem(x, PeriodicBox(lengths))
-    proc = PairProcessor(pot)
-    forces, energy, virial = proc._compute_fused(system, pairs_i, pairs_j)
-    return forces.copy(), energy, virial
-
-
 class _FusedWorkspace:
     """Preallocated pair-length scratch reused across force evals.
 
@@ -292,72 +271,6 @@ class PairProcessor:
                 forces[:, d] -= np.bincount(pairs_j, weights=tmp,
                                             minlength=n)
         return forces, energy, virial
-
-    def compute_fanout(
-        self,
-        system: ParticleSystem,
-        pairs_i: np.ndarray,
-        pairs_j: np.ndarray,
-        backend=None,
-        blocks: Optional[int] = None,
-    ) -> Tuple[np.ndarray, float, float]:
-        """Fan the fused pair kernel out over a ``repro.par`` backend.
-
-        Positions and the neighbor-list index arrays are staged once
-        as shared-memory segments (zero-copy attach under process
-        backends); each worker evaluates one contiguous block of the
-        pair list and the per-block partial forces/energy/virial are
-        combined in fixed block order — deterministic for a given
-        block count regardless of backend kind, worker count, or
-        steal timing.  Type-pair tables and serial/single-worker
-        backends fall through to :meth:`compute`.
-        """
-        from repro.par import ShmStage, get_backend, map_fanout
-
-        be = get_backend(backend)
-        m = int(pairs_i.size)
-        nb = int(blocks) if blocks else 4 * be.workers
-        nb = min(nb, max(1, m))
-        if (self.table is not None or be.kind == "serial"
-                or be.workers <= 1 or nb <= 1):
-            return self.compute(system, pairs_i, pairs_j)
-        bounds = np.linspace(0, m, nb + 1).astype(np.int64)
-        pot = self.single
-        lengths = tuple(float(l) for l in system.box.lengths)
-        x64 = np.ascontiguousarray(system.x.astype(np.float64, copy=False))
-        with ShmStage(be.kind) as stage:
-            sx = stage.share(x64)
-            spi = stage.share(np.ascontiguousarray(pairs_i, dtype=np.int64))
-            spj = stage.share(np.ascontiguousarray(pairs_j, dtype=np.int64))
-            payloads = [
-                (pot, lengths, sx, spi, spj,
-                 int(bounds[b]), int(bounds[b + 1]))
-                for b in range(nb)
-                if bounds[b + 1] > bounds[b]
-            ]
-            parts = map_fanout(_pair_block_task, payloads, backend=be)
-        forces = np.zeros((system.n, 3))
-        energy = 0.0
-        virial = 0.0
-        for fpart, e, w in parts:
-            forces += fpart
-            energy += e
-            virial += w
-        _metrics.counter("md.forces.evals").add()
-        _metrics.counter("md.forces.fanout").add()
-        if _validate.validation_enabled():
-            f_ref, e_ref, w_ref = self.compute(
-                system, pairs_i, pairs_j, method="reference"
-            )
-            _validate.check_allclose(
-                "md.forces", forces.astype(system.dtype), f_ref,
-                rtol=1e-9, atol=1e-9,
-            )
-            _validate.check_allclose(
-                "md.forces.energy", [energy, virial], [e_ref, w_ref],
-                rtol=1e-9, atol=1e-9,
-            )
-        return forces.astype(system.dtype), energy, virial
 
     def compute(
         self,

@@ -18,13 +18,10 @@ that operate on data in GPU memory."
   formulas that are out of scope; orders 1-2 with genuine adaptive
   stepping preserve the stiff-integrator behaviour the paper's
   experiments exercise — see DESIGN.md substitutions.)
-- :mod:`repro.ode.erk` — explicit adaptive Runge-Kutta (Bogacki-
-  Shampine 3(2)) for non-stiff comparison runs.
 """
 
 from repro.ode.nvector import DeviceVector, HostVector, NVector
 from repro.ode.bdf import BdfIntegrator, BdfOptions, StepStats
-from repro.ode.erk import erk_integrate
 
 __all__ = [
     "NVector",
@@ -33,5 +30,4 @@ __all__ = [
     "BdfIntegrator",
     "BdfOptions",
     "StepStats",
-    "erk_integrate",
 ]

@@ -5,8 +5,8 @@ Reproduces the Tools-and-Libraries *hypre* activity (§4.10.1):
 - :mod:`repro.solvers.csr` — CSR matrix wrapper whose SpMV records
   roofline kernel specs (the cuSPARSE-matvec port of the BoomerAMG
   solve phase).
-- :mod:`repro.solvers.krylov` — PCG and restarted GMRES built on
-  operator callbacks (the hypre Krylov layer).
+- :mod:`repro.solvers.krylov` — PCG built on operator callbacks (the
+  hypre Krylov layer).
 - :mod:`repro.solvers.smoothers` — Jacobi / weighted-Jacobi /
   l1-Jacobi / Gauss-Seidel relaxation.  l1-Jacobi is the GPU-friendly
   smoother hypre switched to; Gauss-Seidel is the sequential CPU
@@ -25,7 +25,7 @@ Reproduces the Tools-and-Libraries *hypre* activity (§4.10.1):
 """
 
 from repro.solvers.csr import CsrMatrix, spmv_spec
-from repro.solvers.krylov import ConvergenceInfo, gmres, pcg
+from repro.solvers.krylov import ConvergenceInfo, pcg
 from repro.solvers.smoothers import (
     gauss_seidel,
     gauss_seidel_multicolor,
@@ -45,7 +45,6 @@ __all__ = [
     "spmv_spec",
     "ConvergenceInfo",
     "pcg",
-    "gmres",
     "jacobi",
     "weighted_jacobi",
     "l1_jacobi",

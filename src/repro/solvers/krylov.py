@@ -1,4 +1,4 @@
-"""Krylov solvers: preconditioned CG and restarted GMRES.
+"""Krylov solvers: preconditioned CG.
 
 These mirror the hypre Krylov layer the paper's solve phase runs
 through: operator-based (any callable or :class:`CsrMatrix`),
@@ -205,112 +205,3 @@ def pcg(
         a, b, x0=x0, preconditioner=preconditioner, tol=tol,
         max_iter=max_iter,
     ).solve()
-
-
-def gmres(
-    a: Operator,
-    b: np.ndarray,
-    x0: Optional[np.ndarray] = None,
-    preconditioner: Optional[Operator] = None,
-    tol: float = 1e-8,
-    restart: int = 30,
-    max_iter: int = 500,
-) -> "tuple[np.ndarray, ConvergenceInfo]":
-    """Restarted GMRES(m) with left preconditioning.
-
-    Handles non-symmetric systems (Cretin's rate matrices are
-    non-symmetric, §4.3); the Arnoldi basis is re-orthogonalized via
-    modified Gram-Schmidt.  Under ``REPRO_GUARD``, NaN/Inf in the
-    inputs or the Arnoldi recurrence and a zero Givens denominator
-    with an unconverged residual raise typed
-    :class:`NumericalHealthError`\\ s with iteration context.
-    """
-    b = np.asarray(b, dtype=np.float64)
-    n = b.shape[0]
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
-    if restart < 1:
-        raise ValueError("restart must be >= 1")
-    if max_iter < 0:
-        raise ValueError("max_iter must be >= 0")
-    health = default_monitor("solvers.gmres")
-    if health is not None:
-        health.check_array(b, "b")
-
-    def prec(v: np.ndarray) -> np.ndarray:
-        return _apply(preconditioner, v) if preconditioner is not None else v
-
-    bnorm = float(np.linalg.norm(prec(b)))
-    target = tol * (bnorm if bnorm > 0 else 1.0)
-    norms: List[float] = []
-    total_it = 0
-    while total_it <= max_iter:
-        r = prec(b - _apply(a, x))
-        beta = float(np.linalg.norm(r))
-        if health is not None:
-            health.check_value(beta, "residual norm",
-                               context={"iteration": total_it})
-        if not norms:
-            norms.append(beta)
-        if beta <= target:
-            return x, ConvergenceInfo(True, total_it, norms)
-        m = min(restart, max_iter - total_it)
-        if m == 0:
-            break
-        q = np.zeros((m + 1, n))
-        h = np.zeros((m + 1, m))
-        cs, sn = np.zeros(m), np.zeros(m)
-        g = np.zeros(m + 1)
-        g[0] = beta
-        q[0] = r / beta
-        k_used = 0
-        for k in range(m):
-            w = prec(_apply(a, q[k]))
-            for i in range(k + 1):
-                h[i, k] = float(w @ q[i])
-                w -= h[i, k] * q[i]
-            h_sub = float(np.linalg.norm(w))  # subdiagonal before rotation
-            h[k + 1, k] = h_sub
-            # Apply existing Givens rotations to the new column.
-            for i in range(k):
-                temp = cs[i] * h[i, k] + sn[i] * h[i + 1, k]
-                h[i + 1, k] = -sn[i] * h[i, k] + cs[i] * h[i + 1, k]
-                h[i, k] = temp
-            denom = float(np.hypot(h[k, k], h[k + 1, k]))
-            if health is not None and (denom != denom or (
-                    denom == 0 and abs(float(g[k])) > target)):
-                raise BreakdownError(
-                    "Arnoldi breakdown: zero/NaN Givens denominator "
-                    "with an unconverged residual",
-                    where="solvers.gmres",
-                    context={"iteration": total_it, "inner": k,
-                             "residual": abs(float(g[k]))},
-                )
-            if denom == 0:
-                k_used = k
-                break
-            cs[k] = h[k, k] / denom
-            sn[k] = h[k + 1, k] / denom
-            h[k, k] = denom
-            h[k + 1, k] = 0.0
-            g[k + 1] = -sn[k] * g[k]
-            g[k] = cs[k] * g[k]
-            total_it += 1
-            k_used = k + 1
-            norms.append(abs(float(g[k + 1])))
-            if h_sub == 0 or abs(g[k + 1]) <= target:
-                break  # happy breakdown or converged
-            if k + 1 < m + 1:
-                q[k + 1] = w / h_sub
-        # Solve the small triangular system and update x.
-        if k_used > 0:
-            y = np.linalg.solve(h[:k_used, :k_used], g[:k_used])
-            x = x + q[:k_used].T @ y
-        if norms[-1] <= target:
-            # Verify with a true residual (restarts can drift).
-            true_r = float(np.linalg.norm(prec(b - _apply(a, x))))
-            norms[-1] = true_r
-            if true_r <= target:
-                return x, ConvergenceInfo(True, total_it, norms)
-        if k_used == 0:
-            break
-    return x, ConvergenceInfo(False, total_it, norms)

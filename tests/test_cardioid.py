@@ -1,9 +1,8 @@
-"""Tests for the Cardioid proxy: ion model, DSL, diffusion, placement."""
+"""Tests for the Cardioid proxy: ion model, DSL, placement."""
 
 import numpy as np
 import pytest
 
-from repro.cardioid.diffusion import VariableCoefficientDiffusion
 from repro.cardioid.dsl import RationalFit, ReactionKernelGenerator
 from repro.cardioid.ionmodels import (
     RATE_FUNCTIONS,
@@ -11,8 +10,7 @@ from repro.cardioid.ionmodels import (
     HodgkinHuxleyModel,
     reference_rates,
 )
-from repro.cardioid.simulation import MonodomainSimulation, placement_decision
-from repro.core.forall import ExecutionContext
+from repro.cardioid.simulation import placement_decision
 from repro.core.machine import get_machine
 
 
@@ -154,104 +152,6 @@ class TestReactionKernelGenerator:
             ReactionKernelGenerator({}, V_RANGE)
         with pytest.raises(ValueError):
             ReactionKernelGenerator(RATE_FUNCTIONS, V_RANGE, tolerance=0.0)
-
-
-class TestDiffusion:
-    def test_conservation(self):
-        rng = np.random.default_rng(0)
-        d = VariableCoefficientDiffusion(1.0 + rng.random((5, 6, 7)))
-        v = rng.random((5, 6, 7))
-        assert abs(d.conservation_defect(v)) < 1e-12
-
-    def test_constant_field_unchanged(self):
-        d = VariableCoefficientDiffusion(np.ones((4, 4, 4)))
-        out = d.apply(np.full((4, 4, 4), 3.0))
-        np.testing.assert_allclose(out, 0.0, atol=1e-14)
-
-    def test_uniform_sigma_matches_plain_laplacian(self):
-        """With sigma = 1 the stencil reduces to the 7-point Laplacian
-        (zero-flux boundaries)."""
-        d = VariableCoefficientDiffusion(np.ones((8, 8, 8)), h=1.0)
-        rng = np.random.default_rng(1)
-        v = rng.random((8, 8, 8))
-        out = d.apply(v)
-        # interior check against the standard 7-point stencil
-        lap = (
-            v[:-2, 1:-1, 1:-1] + v[2:, 1:-1, 1:-1]
-            + v[1:-1, :-2, 1:-1] + v[1:-1, 2:, 1:-1]
-            + v[1:-1, 1:-1, :-2] + v[1:-1, 1:-1, 2:]
-            - 6 * v[1:-1, 1:-1, 1:-1]
-        )
-        np.testing.assert_allclose(out[1:-1, 1:-1, 1:-1], lap, atol=1e-12)
-
-    def test_smooths_towards_mean(self):
-        rng = np.random.default_rng(2)
-        d = VariableCoefficientDiffusion(1.0 + rng.random((6, 6, 6)))
-        v = rng.random((6, 6, 6))
-        mean0 = v.mean()
-        for _ in range(200):
-            v = v + 0.05 * d.apply(v)
-        assert np.abs(v - mean0).max() < 0.05
-
-    def test_unique_coefficients_per_point(self):
-        d = VariableCoefficientDiffusion(
-            1.0 + np.random.default_rng(3).random((4, 4, 4))
-        )
-        assert d.coefficients_per_point == 6
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            VariableCoefficientDiffusion(np.ones((4, 4)))
-        with pytest.raises(ValueError):
-            VariableCoefficientDiffusion(np.zeros((4, 4, 4)))
-        with pytest.raises(ValueError):
-            VariableCoefficientDiffusion(np.ones((4, 4, 4)), h=0.0)
-        d = VariableCoefficientDiffusion(np.ones((4, 4, 4)))
-        with pytest.raises(ValueError):
-            d.apply(np.ones((3, 3, 3)))
-
-    def test_kernel_recorded_memory_bound(self):
-        ctx = ExecutionContext()
-        d = VariableCoefficientDiffusion(np.ones((8, 8, 8)), ctx=ctx)
-        d.apply(np.zeros((8, 8, 8)))
-        k = ctx.trace.kernels[0]
-        assert k.arithmetic_intensity < 0.5  # memory-bound profile
-
-
-class TestMonodomain:
-    def test_wave_depolarizes_tissue(self):
-        sim = MonodomainSimulation((10, 4, 4), dt=0.02)
-        stim = sim.stimulate_region((slice(0, 3), slice(None), slice(None)),
-                                    30.0)
-        peak_fraction = 0.0
-        for k in range(600):
-            sim.step(stim if k < 150 else None)
-            peak_fraction = max(peak_fraction, sim.activated_fraction())
-        assert peak_fraction > 0.2
-
-    def test_no_stim_stays_at_rest(self):
-        sim = MonodomainSimulation((6, 4, 4), dt=0.02)
-        sim.run(300)
-        assert sim.membrane.v.max() < -50.0
-
-    def test_reaction_kernel_traced_compute_bound(self):
-        ctx = ExecutionContext()
-        sim = MonodomainSimulation((6, 4, 4), ctx=ctx)
-        sim.run(3)
-        reactions = [k for k in ctx.trace.kernels
-                     if k.name == "cardioid-reaction"]
-        diffusions = [k for k in ctx.trace.kernels
-                      if k.name == "cardioid-diffusion"]
-        assert len(reactions) == 3 and len(diffusions) == 3
-        assert reactions[0].arithmetic_intensity > 1.0
-        assert diffusions[0].arithmetic_intensity < 0.5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MonodomainSimulation((4, 4, 4), dt=0.0)
-        sim = MonodomainSimulation((4, 4, 4))
-        with pytest.raises(ValueError):
-            sim.run(-1)
 
 
 class TestPlacement:

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.core.kernels import KernelSpec, KernelTrace, TransferSpec
 
@@ -49,48 +48,6 @@ class TestKernelSpec:
     def test_scaled_negative_raises(self):
         with pytest.raises(ValueError):
             spec().scaled(-1)
-
-
-class TestFusion:
-    def test_fusion_preserves_flops(self):
-        a, b = spec("a"), spec("b")
-        fused = a.fused(b)
-        assert fused.flops == a.flops + b.flops
-
-    def test_fusion_removes_intermediate_traffic(self):
-        # a writes 4 MB that b then reads: fusing removes both.
-        a = spec("a", br=8e6, bw=4e6)
-        b = spec("b", br=4e6, bw=4e6)
-        fused = a.fused(b)
-        assert fused.bytes_total == a.bytes_total + b.bytes_total - 2 * 4e6
-
-    def test_fusion_never_negative_traffic(self):
-        a = spec("a", br=0, bw=10e6)
-        b = spec("b", br=2e6, bw=0)
-        fused = a.fused(b)
-        assert fused.bytes_read >= 0 and fused.bytes_written >= 0
-
-    def test_fusion_mismatched_launches_raises(self):
-        with pytest.raises(ValueError):
-            spec(launches=1).fused(spec(launches=2))
-
-    def test_fusion_mismatched_precision_raises(self):
-        with pytest.raises(ValueError):
-            spec(precision="fp64").fused(spec(precision="fp32"))
-
-    def test_fusion_name(self):
-        assert spec("a").fused(spec("b")).name == "a+b"
-        assert spec("a").fused(spec("b"), name="ab").name == "ab"
-
-    @given(
-        aw=st.floats(min_value=0, max_value=1e9),
-        br=st.floats(min_value=0, max_value=1e9),
-    )
-    def test_fusion_traffic_never_exceeds_sum(self, aw, br):
-        a = spec("a", br=1e6, bw=aw)
-        b = spec("b", br=br, bw=1e6)
-        fused = a.fused(b)
-        assert fused.bytes_total <= a.bytes_total + b.bytes_total + 1e-6
 
 
 class TestTransferSpec:

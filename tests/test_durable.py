@@ -11,7 +11,10 @@ surfacing hardening in ``map_fanout``.
 
 import os
 import pickle
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +24,9 @@ from repro.durable import (
     DurableStore,
     ResumableCampaign,
     WriteAheadLog,
-    run_chaos,
     state_mismatches,
 )
+from repro.durable.chaos import run_chaos
 from repro.durable.wal import MAGIC, read_records
 from repro.obs import metrics as metrics_mod
 from repro.obs.validate import DivergenceError
@@ -1046,6 +1049,21 @@ class TestChaos:
         assert report.restarts >= 4
         assert report.recovered_step == 6
         assert report.bit_exact, str(report)
+
+    def test_cli_runs_without_runpy_warning(self):
+        """``python -m repro.durable.chaos`` must not find its own
+        module already imported by the package ``__init__``: runpy
+        would warn and execute the module a second time."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get(
+            "PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.durable.chaos", "--help"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_state_mismatches_reports_paths(self):
         a = {"x": np.arange(3), "y": {"z": 1}, "l": [1, 2]}

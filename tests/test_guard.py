@@ -305,19 +305,6 @@ class TestKrylovSentinels:
             x, info = pcg(a, b)  # legacy: stops quietly
         assert not info.converged
 
-    def test_gmres_inf_b_raises_strict(self):
-        from repro.solvers.krylov import gmres
-
-        a = self._spd()
-        b = np.full(a.n_rows, np.inf)
-        with guard_override("on"):
-            with pytest.raises(NonFiniteError) as exc:
-                gmres(a, b)
-        assert exc.value.where == "solvers.gmres"
-        with guard_override("off"):
-            gmres(a, b, max_iter=3)  # legacy: no raise
-
-
 class TestDdcmdSentinel:
     def _sim(self, dt=0.002, seed=1):
         from repro.md.ddcmd import DdcMD

@@ -62,19 +62,6 @@ class TestBitExactWhenHealthy:
         assert info_off.iterations == info_on.iterations
         assert info_off.residual_norms == info_on.residual_norms
 
-    def test_gmres_identical(self):
-        from repro.solvers.krylov import gmres
-
-        n = 40
-        rng = np.random.default_rng(0)
-        a = CsrMatrix(lap1d(n) + 0.1 * np.diag(rng.random(n)))
-        b = rng.normal(size=n)
-        with guard_override("off"):
-            x_off, _ = gmres(a, b, tol=1e-10)
-        with guard_override("on"):
-            x_on, _ = gmres(a, b, tol=1e-10)
-        assert np.array_equal(x_off, x_on)
-
     def test_amg_identical(self):
         from repro.solvers.boomeramg import BoomerAMG
 

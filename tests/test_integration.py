@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 from repro.cardioid.dsl import ReactionKernelGenerator
-from repro.cardioid.ionmodels import RATE_FUNCTIONS, V_RANGE
-from repro.cardioid.simulation import MonodomainSimulation
+from repro.cardioid.ionmodels import RATE_FUNCTIONS, V_RANGE, HodgkinHuxleyModel
 from repro.core.forall import ExecPolicy, ExecutionContext
 from repro.core.machine import MACHINES, get_machine
 from repro.core.memory import MemorySpace
 from repro.core.roofline import RooflineModel
 from repro.fem.mesh import TensorMesh2D
 from repro.fem.nonlinear import NonlinearDiffusion
+from repro.fem.operators import DiffusionOperator
 from repro.ode.nvector import DeviceVector
 from repro.sched.policies import Fcfs
 from repro.sched.simulator import ClusterSimulator, Job
@@ -40,9 +40,9 @@ class TestTraceToModelPipeline:
         s.run(2)
         apps.append(("sw4lite", ctx.trace))
         ctx2 = ExecutionContext()
-        sim = MonodomainSimulation((6, 4, 4), ctx=ctx2)
-        sim.run(2)
-        apps.append(("cardioid", ctx2.trace))
+        mesh = TensorMesh2D(4, 4, order=2)
+        DiffusionOperator(mesh, ctx=ctx2).mult(np.ones(mesh.n_dofs))
+        apps.append(("mfem", ctx2.trace))
         ctx3 = ExecutionContext()
         amg = BoomerAMG(ctx=ctx3)
         amg.setup(poisson_2d(16))
@@ -67,25 +67,6 @@ class TestTraceToModelPipeline:
                 for m in order
             ]
             assert times[0] < times[1] < times[2], name
-
-
-class TestDslIntoSimulation:
-    def test_monodomain_with_dsl_rates_matches_reference(self):
-        """Cardioid's full pipeline: DSL-generated kernels inside the
-        tissue simulation give the same wave as the math library."""
-        gen = ReactionKernelGenerator(RATE_FUNCTIONS, V_RANGE,
-                                      tolerance=1e-7)
-        baked = gen.generate_baked()
-        sims = []
-        for rates in (None, lambda v: baked(v)):
-            sim = MonodomainSimulation((8, 4, 4), dt=0.02, rates=rates,
-                                       seed=3)
-            stim = sim.stimulate_region(
-                (slice(0, 2), slice(None), slice(None)), 30.0
-            )
-            sim.run(200, i_stim=stim, stim_steps=100)
-            sims.append(sim.membrane.v.copy())
-        assert np.abs(sims[0] - sims[1]).max() < 0.5  # mV
 
 
 class TestDeviceVectorsThroughSolvers:
@@ -170,8 +151,10 @@ class TestWorkloadDiversityEndToEnd:
     def test_one_smoke_run_per_activity(self):
         """Every Table 1 activity's proxy executes a real computation."""
         # Cardioid
-        sim = MonodomainSimulation((4, 4, 4))
-        sim.run(2)
+        baked = ReactionKernelGenerator(RATE_FUNCTIONS, V_RANGE).generate_baked()
+        membrane = HodgkinHuxleyModel(64, rates=baked)
+        membrane.step_reaction(0.02)
+        membrane.step_reaction(0.02)
         # Cretin
         from repro.kinetics import Zone, Minikin, make_model
 

@@ -19,6 +19,10 @@ ALLOWED = {
     # the guards instrument the solvers, integrators and scheduler, so
     # they import none of those
     "guard": ("guard", "obs", "util"),
+    # the proxies run serially on the substrate: they neither fan out
+    # nor borrow another proxy's solvers
+    "kinetics": ("kinetics", "core", "util"),
+    "md": ("md", "core", "guard", "obs", "util"),
 }
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.memory import MemorySpace, ResourceManager
 from repro.ode.bdf import BdfIntegrator, BdfOptions
-from repro.ode.erk import erk_integrate
 from repro.ode.nvector import DeviceVector, HostVector
 
 
@@ -107,6 +106,13 @@ class TestBdfIntegrator:
                               options=BdfOptions(rtol=1e-8, atol=1e-12))
         ts, us = integ.integrate(0.0, np.array([1.0]), 1.0)
         assert us[-1, 0] == pytest.approx(np.exp(-5.0), rel=1e-5)
+
+    def test_matches_exact_on_smooth_problem(self):
+        rhs, make_ls = _decay_problem(lam=0.5)
+        integ = BdfIntegrator(rhs, make_ls,
+                              options=BdfOptions(rtol=1e-8, atol=1e-11))
+        _, us = integ.integrate(0.0, np.ones(1), 1.0)
+        assert us[-1, 0] == pytest.approx(np.exp(-0.5), rel=1e-5)
 
     def test_stiff_oscillator_tracks_forcing(self):
         """Prothero-Robinson: u' = -L(u - cos t) - sin t, u -> cos t."""
@@ -219,34 +225,3 @@ class TestBdfIntegrator:
                               options=BdfOptions(max_steps=3, h0=1e-6))
         with pytest.raises(RuntimeError, match="max_steps"):
             integ.integrate(0.0, np.array([1.0]), 1.0)
-
-
-class TestErk:
-    def test_exponential(self):
-        ts, us = erk_integrate(lambda t, u: -u, 0.0, np.array([1.0]), 2.0,
-                               rtol=1e-9, atol=1e-12)
-        assert us[-1, 0] == pytest.approx(np.exp(-2.0), rel=1e-7)
-
-    def test_nonautonomous(self):
-        ts, us = erk_integrate(lambda t, u: np.array([2 * t]), 0.0,
-                               np.array([0.0]), 1.0, rtol=1e-10, atol=1e-12)
-        assert us[-1, 0] == pytest.approx(1.0, rel=1e-8)
-
-    def test_matches_bdf_on_smooth_problem(self):
-        rhs = lambda t, u: -0.5 * u
-
-        def make_ls(gamma, t, u):
-            return lambda r: r / (1.0 + 0.5 * gamma)
-
-        _, erk_u = erk_integrate(rhs, 0.0, np.ones(1), 1.0, rtol=1e-9,
-                                 atol=1e-12)
-        integ = BdfIntegrator(rhs, make_ls,
-                              options=BdfOptions(rtol=1e-8, atol=1e-11))
-        _, bdf_u = integ.integrate(0.0, np.ones(1), 1.0)
-        assert erk_u[-1, 0] == pytest.approx(bdf_u[-1, 0], rel=1e-5)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            erk_integrate(lambda t, u: u, 0.0, np.ones(1), -1.0)
-        with pytest.raises(ValueError):
-            erk_integrate(lambda t, u: u, 0.0, np.ones(1), 1.0, rtol=0.0)

@@ -1,11 +1,11 @@
-"""Tests for PCG and GMRES."""
+"""Tests for PCG."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro.solvers.csr import CsrMatrix
-from repro.solvers.krylov import gmres, pcg
+from repro.solvers.krylov import pcg
 from repro.solvers.problems import poisson_2d, random_spd
 
 
@@ -85,55 +85,3 @@ class TestPcg:
         _, info = pcg(a, b, tol=1e-10, max_iter=500)
         assert info.final_residual == info.residual_norms[-1]
         assert 0 < info.reduction < 1e-8
-
-
-class TestGmres:
-    def nonsym_system(self, n=60, seed=0):
-        rng = np.random.default_rng(seed)
-        a = sp.random(n, n, density=0.15, random_state=rng).tocsr()
-        a = a + sp.diags(5.0 + rng.random(n))
-        x_true = rng.random(n)
-        return CsrMatrix(a), a @ x_true, x_true
-
-    def test_converges_nonsymmetric(self):
-        a, b, x_true = self.nonsym_system()
-        x, info = gmres(a, b, tol=1e-12, max_iter=500)
-        assert info.converged
-        np.testing.assert_allclose(x, x_true, atol=1e-8)
-
-    def test_restart_still_converges(self):
-        a, b, x_true = self.nonsym_system()
-        x, info = gmres(a, b, tol=1e-10, restart=5, max_iter=2000)
-        assert info.converged
-        np.testing.assert_allclose(x, x_true, atol=1e-6)
-
-    def test_zero_rhs(self):
-        a, _, _ = self.nonsym_system()
-        x, info = gmres(a, np.zeros(a.shape[0]))
-        assert info.converged and info.iterations == 0
-
-    def test_preconditioner_helps(self):
-        a, b, _ = self.nonsym_system(n=120, seed=2)
-        inv_d = 1.0 / a.diagonal()
-        _, plain = gmres(a, b, tol=1e-10, max_iter=500)
-        _, prec = gmres(a, b, preconditioner=lambda r: inv_d * r, tol=1e-10,
-                        max_iter=500)
-        assert prec.iterations <= plain.iterations
-
-    def test_spd_also_works(self):
-        a = CsrMatrix(poisson_2d(8))
-        b = np.ones(64)
-        x, info = gmres(a, b, tol=1e-10, max_iter=300)
-        assert info.converged
-        np.testing.assert_allclose(a.matvec(x), b, atol=1e-7)
-
-    def test_bad_restart(self):
-        a, b, _ = self.nonsym_system()
-        with pytest.raises(ValueError):
-            gmres(a, b, restart=0)
-
-    def test_identity_immediate(self):
-        a = CsrMatrix(sp.identity(10, format="csr"))
-        x, info = gmres(a, np.ones(10), tol=1e-12)
-        assert info.converged
-        np.testing.assert_allclose(x, 1.0)

@@ -4,8 +4,8 @@ The scheduler invariants (every index handed out exactly once, steals
 take the back half, nothing splits below the grain), bit-exactness of
 both steal backends against serial across grains, the typed failure
 surface (including precise ``pending_indices`` on a worker crash),
-scheduler counters, nested-fan-out degradation to an inline serial
-loop, and the staged shared-memory md force fan-out.
+scheduler counters, and nested-fan-out degradation to an inline serial
+loop.
 """
 
 import os
@@ -19,7 +19,6 @@ from repro.par import (
     StealScheduler,
     WorkerCrashError,
     WorkerTaskError,
-    live_segments,
     map_fanout,
 )
 from repro.par.steal import default_min_grain, in_steal_worker
@@ -208,54 +207,3 @@ class TestStealFanout:
                          backend="steal-thread:2")
         assert out == [sum(x * x for x in range(k + 1)) for k in range(6)]
         assert not in_steal_worker()  # flag never leaks to the caller
-
-
-# -- staged shared-memory md force fan-out --------------------------------
-
-
-class TestMdForceFanout:
-    def _system(self):
-        from repro.md.neighbor import NeighborList
-        from repro.md.particles import ParticleSystem, PeriodicBox
-
-        rng = np.random.default_rng(4)
-        system = ParticleSystem(rng.uniform(0.0, 9.0, size=(600, 3)),
-                                PeriodicBox((9.0, 9.0, 9.0)))
-        nl = NeighborList(cutoff=2.5, skin=0.4)
-        nl.build(system)
-        return system, nl.pairs_i, nl.pairs_j
-
-    def test_matches_serial_and_leaks_nothing(self):
-        from repro.md.potentials import LennardJones, PairProcessor
-
-        system, pi, pj = self._system()
-        proc = PairProcessor(LennardJones())
-        f0, e0, w0 = proc.compute(system, pi, pj)
-        for backend in ("thread:2", "steal-thread:4", "steal-process:2"):
-            f, e, w = proc.compute_fanout(system, pi, pj, backend=backend)
-            assert np.allclose(f, f0, rtol=1e-9, atol=1e-9)
-            assert np.isclose(e, e0, rtol=1e-12)
-            assert np.isclose(w, w0, rtol=1e-12)
-        assert live_segments() == ()
-
-    def test_fixed_blocks_bit_exact_across_backends(self):
-        from repro.md.potentials import LennardJones, PairProcessor
-
-        system, pi, pj = self._system()
-        proc = PairProcessor(LennardJones())
-        ref = proc.compute_fanout(system, pi, pj, backend="thread:2",
-                                  blocks=8)
-        for backend in ("thread:4", "steal-thread:4", "steal-process:2"):
-            f, e, w = proc.compute_fanout(system, pi, pj, backend=backend,
-                                          blocks=8)
-            assert np.array_equal(f, ref[0])
-            assert e == ref[1] and w == ref[2]
-
-    def test_serial_backend_falls_through(self):
-        from repro.md.potentials import LennardJones, PairProcessor
-
-        system, pi, pj = self._system()
-        proc = PairProcessor(LennardJones())
-        f0, e0, w0 = proc.compute(system, pi, pj)
-        f, e, w = proc.compute_fanout(system, pi, pj, backend="serial")
-        assert np.array_equal(f, f0) and e == e0 and w == w0

@@ -1,4 +1,4 @@
-"""Tests for trace compaction and the TraceOptimizer fusion pass.
+"""Tests for trace compaction and compacted roofline pricing.
 
 The load-bearing invariant: roofline pricing is linear in launches, so
 a compacted trace (identical specs coalesced into launch counts) must
@@ -14,12 +14,6 @@ from repro.core.forall import ExecutionContext
 from repro.core.kernels import KernelSpec, KernelTrace, TransferSpec
 from repro.core.machine import MACHINES
 from repro.core.roofline import RooflineModel
-from repro.core.traceopt import (
-    MAX_FUSE_CHAIN,
-    TraceOptimizer,
-    TraceOptStats,
-    fusible,
-)
 
 
 def spec(name="k", flops=1e9, br=4e8, bw=2e8, launches=1, **kw):
@@ -119,188 +113,3 @@ class TestCompactedPricing:
             raw = model.run_on_gpu(tr)
             fast = model.run_on_gpu(tr, compact=True)
             assert fast.total == pytest.approx(raw.total, rel=1e-12)
-
-
-class TestFusible:
-    def test_same_class_fusible(self):
-        assert fusible(spec("a"), spec("b"))
-
-    def test_mismatched_launches_not_fusible(self):
-        assert not fusible(spec("a", launches=1), spec("b", launches=2))
-
-    def test_mismatched_precision_not_fusible(self):
-        assert not fusible(spec("a"), spec("b", precision="fp32"))
-
-    def test_mismatched_efficiency_not_fusible(self):
-        assert not fusible(spec("a"), spec("b", compute_efficiency=0.9))
-
-    def test_shared_memory_flag_blocks_fusion(self):
-        assert not fusible(spec("a"), spec("b", uses_shared_memory=True))
-
-
-class TestTraceOptimizer:
-    def test_fusion_reduces_launches_and_bytes(self):
-        tr = KernelTrace()
-        # b reads what a wrote: fusion removes the round trip
-        tr.record_kernel(spec("a", br=8e8, bw=4e8))
-        tr.record_kernel(spec("b", br=4e8, bw=4e8))
-        opt, stats = TraceOptimizer().optimize(tr)
-        assert len(opt.kernels) == 1
-        assert stats.fused_away == 1
-        assert stats.launches_saved == 1
-        assert stats.bytes_saved == pytest.approx(2 * 4e8)
-        assert opt.kernels[0].flops == pytest.approx(2e9)
-
-    def test_fusion_never_increases_modeled_time(self):
-        tr = repetitive_trace()
-        model = RooflineModel(MACHINES["sierra"])
-        raw = model.run_on_gpu(tr).total
-        opt, _ = TraceOptimizer().optimize(tr)
-        fused = model.run_on_gpu(opt).total
-        assert fused <= raw + 1e-15
-
-    def test_unfusible_chain_left_alone(self):
-        tr = KernelTrace()
-        tr.record_kernel(spec("a", precision="fp64"))
-        tr.record_kernel(spec("b", precision="fp32"))
-        opt, stats = TraceOptimizer(compact=False).optimize(tr)
-        assert [k.name for k in opt.kernels] == ["a", "b"]
-        assert stats.fused_away == 0
-
-    def test_chain_cap(self):
-        tr = KernelTrace()
-        for i in range(2 * MAX_FUSE_CHAIN):
-            tr.record_kernel(spec(f"k{i}"))
-        opt, _ = TraceOptimizer(compact=False).optimize(tr)
-        assert len(opt.kernels) == 2
-        # flops conserved by fusion regardless of grouping
-        assert sum(k.flops for k in opt.kernels) == pytest.approx(
-            tr.total_flops
-        )
-
-    def test_transfers_survive(self):
-        tr = repetitive_trace()
-        opt, _ = TraceOptimizer().optimize(tr)
-        assert opt.total_transfer_bytes == tr.total_transfer_bytes
-
-    def test_stats_accounting(self):
-        tr = repetitive_trace(reps=10)
-        opt, stats = TraceOptimizer().optimize(tr)
-        assert stats.kernels_in == len(tr.kernels)
-        assert stats.kernels_out == len(opt.kernels)
-        assert stats.launches_in == tr.total_launches
-        assert stats.launches_out == opt.total_launches
-        assert isinstance(stats, TraceOptStats)
-
-    def test_compact_only_preserves_totals(self):
-        tr = repetitive_trace()
-        opt, stats = TraceOptimizer(fuse=False).optimize(tr)
-        assert stats.fused_away == 0
-        assert opt.total_launches == tr.total_launches
-        assert opt.total_flops == pytest.approx(tr.total_flops)
-        assert len(opt.kernels) < len(tr.kernels)
-
-
-class TestCrossClassFusion:
-    def test_requires_machine(self):
-        with pytest.raises(ValueError):
-            TraceOptimizer(cross_class=True)
-
-    def test_requires_gpu_machine(self):
-        cpu_only = [n for n, m in MACHINES.items() if m.gpu is None]
-        if not cpu_only:
-            pytest.skip("no CPU-only machine in the catalog")
-        with pytest.raises(ValueError):
-            TraceOptimizer(cross_class=True, machine=cpu_only[0])
-
-    def _launch_bound(self, name, ce):
-        # tiny kernels: per-launch cost is dominated by launch
-        # overhead, the profitable shape for cross-class fusion
-        return spec(name, flops=1e5, br=1e5, bw=1e5,
-                    compute_efficiency=ce, bandwidth_efficiency=ce)
-
-    def test_fuses_launch_bound_kernels_across_classes(self):
-        tr = KernelTrace()
-        tr.record_kernel(self._launch_bound("scatter-a", 0.25))
-        tr.record_kernel(self._launch_bound("scatter-b", 0.6))
-        model = RooflineModel(MACHINES["sierra"])
-        base = model.run_on_gpu(tr)
-        opt, stats = TraceOptimizer(
-            cross_class=True, machine="sierra", compact=False
-        ).optimize(tr)
-        assert stats.cross_fused == 1
-        assert stats.fused_away == 1
-        assert stats.modeled_saved_s > 0
-        fused_rep = model.run_on_gpu(opt)
-        saved = (base.kernel_time + base.launch_time) - (
-            fused_rep.kernel_time + fused_rep.launch_time)
-        assert saved == pytest.approx(stats.modeled_saved_s, rel=1e-9)
-
-    def test_refuses_unprofitable_merge(self):
-        # big compute-bound kernels of very different efficiency: the
-        # fused min-efficiency kernel would be slower than the launch
-        # overhead saved
-        tr = KernelTrace()
-        tr.record_kernel(spec("good", flops=5e12, br=1e9, bw=1e9,
-                              compute_efficiency=0.9,
-                              bandwidth_efficiency=0.9))
-        tr.record_kernel(spec("bad", flops=5e12, br=1e9, bw=1e9,
-                              compute_efficiency=0.05,
-                              bandwidth_efficiency=0.05))
-        opt, stats = TraceOptimizer(
-            cross_class=True, machine="sierra", compact=False
-        ).optimize(tr)
-        assert stats.cross_fused == 0
-        assert [k.name for k in opt.kernels] == ["good", "bad"]
-
-    def test_mismatched_launch_counts_never_cross_fuse(self):
-        tr = KernelTrace()
-        tr.record_kernel(self._launch_bound("a", 0.25))
-        b = spec("b", flops=1e5, br=1e5, bw=1e5, launches=2,
-                 compute_efficiency=0.6, bandwidth_efficiency=0.6)
-        tr.record_kernel(b)
-        _, stats = TraceOptimizer(
-            cross_class=True, machine="sierra", compact=False
-        ).optimize(tr)
-        assert stats.cross_fused == 0
-
-    def test_same_class_fusion_still_works_under_cross(self):
-        tr = KernelTrace()
-        tr.record_kernel(spec("a"))
-        tr.record_kernel(spec("b"))
-        _, stats = TraceOptimizer(
-            cross_class=True, machine="sierra", compact=False
-        ).optimize(tr)
-        # identical classes take the legality fast path, not pricing
-        assert stats.fused_away == 1
-        assert stats.cross_fused == 0
-
-    def test_ddcmd_trace_cross_fusion_beats_same_class(self):
-        """On a real decomposed ddcMD step trace the priced cross-class
-        pass must fuse at least as much modeled time away as the
-        class-restricted pass — the §4.8 merged-kernels story."""
-        from repro.md.ddcmd import DdcMD, make_martini_membrane
-
-        system, proc, bonds, angles = make_martini_membrane(
-            n_lipids_per_leaflet=4, n_water=8, seed=3
-        )
-        ctx = ExecutionContext()
-        md = DdcMD(system, proc, dt=0.002, bonds=bonds, angles=angles,
-                   ctx=ctx)
-        for _ in range(4):
-            md.step()
-        model = RooflineModel(MACHINES["sierra"])
-
-        def gpu_time(trace):
-            rep = model.run_on_gpu(trace, compact=True)
-            return rep.kernel_time + rep.launch_time
-
-        base = gpu_time(ctx.trace)
-        same, _ = TraceOptimizer().optimize(ctx.trace)
-        cross, stats = TraceOptimizer(
-            cross_class=True, machine="sierra"
-        ).optimize(ctx.trace)
-        assert stats.cross_fused > 0
-        assert stats.modeled_saved_s > 0
-        assert gpu_time(cross) <= gpu_time(same) + 1e-15
-        assert gpu_time(cross) < base
